@@ -28,47 +28,46 @@ bench-full:
 chaos:
 	dune exec bin/main.exe -- chaos
 
-# Lease-service churn campaign: crash-restart clients against the
-# lease/reclaim/fencing service with admission control, >= 10^6 client
-# sessions across four degradation regimes.  Exits nonzero on any
-# lease-safety violation, livelock, unfenced stale operation, or if the
-# campaign failed to exercise reclamation/shedding; JSON lands in
-# results/chaos.json (schema renaming.chaos-service/1).
+# The service chaos campaign: one churn driver (Net_churn) under one of
+# three presets, with a fresh refinement checker on every run (the
+# centralized spec; `--no-refine` detaches it).  Every preset exits
+# nonzero on any audit, cross-shard or refinement violation, livelock,
+# wrongly fenced live lease, successful ghost operation or double grant,
+# and on any coverage floor the preset declares; JSON lands in
+# results/chaos-<preset>.json.
+#
+# service: the lease service alone (the smallest router, a perfect
+# network, no node faults) — crash-restart clients, reclamation,
+# admission control, >= 10^6 sessions over four regimes; the floors are
+# reclaims, sheds and every stale op rejected.
 chaos-service:
-	dune exec bin/main.exe -- chaos --service
+	dune exec bin/main.exe -- chaos --backend service
 
 # Reduced-run CI configuration of the same campaign (~10^5 sessions).
 chaos-service-smoke:
-	dune exec bin/main.exe -- chaos --service --sessions 12500 --seeds 2 --out results/chaos-service-smoke.json
+	dune exec bin/main.exe -- chaos --backend service --sessions 12500 --seeds 2 --out results/chaos-service-smoke.json
 
-# Partition chaos campaign over the sharded router: Zipf-skewed
-# rebalancing, correlated shard crashes, crash-during-handoff and stall
-# routing, with the cross-shard uniqueness audit attached.  Exits
-# nonzero on any audit violation, livelock, wrongly fenced live lease,
-# unfenced stale ghost, or if the campaign failed to exercise handoffs
-# (including mid-transit crashes), adoption or shard crashes; JSON lands
-# in results/chaos.json (schema renaming.chaos-sharded/1).
+# sharded: the sharded router on a perfect network — Zipf-skewed
+# rebalancing, silent shard crashes, forced handoffs crashed
+# mid-transit and stall routing; the floors are handoffs, mid-transit
+# crashes, adoptions and shard crashes.
 chaos-sharded:
-	dune exec bin/main.exe -- chaos --sharded
+	dune exec bin/main.exe -- chaos --backend sharded
 
 # Reduced-run CI configuration of the same campaign.
 chaos-sharded-smoke:
-	dune exec bin/main.exe -- chaos --sharded --sessions 15000 --seeds 2 --out results/chaos-sharded-smoke.json
+	dune exec bin/main.exe -- chaos --backend sharded --sessions 15000 --seeds 2 --out results/chaos-sharded-smoke.json
 
-# Unreliable-transport chaos campaign over the sharded service: every
-# operation is a typed envelope through the simulated network (drops,
-# duplicates, reordering, bounded delay, directional partitions), with
-# per-slice at-most-once dedup, client timeout/retry and heartbeat
-# failure detection.  Exits nonzero on any audit violation, end-to-end
-# double grant, unexpected fence, successful ghost op — or if any piece
-# of the fault machinery failed to fire.  JSON lands in
-# results/chaos.json (schema renaming.chaos-net/1).
+# net: the same router over the unreliable transport (drops, duplicates,
+# reordering, bounded delay, directional partitions) with per-slice
+# at-most-once dedup, client timeout/retry and heartbeat failure
+# detection; the floors are the 15 fault channels.
 chaos-net:
-	dune exec bin/main.exe -- chaos --net
+	dune exec bin/main.exe -- chaos --backend net
 
 # CI-sized slice of the same campaign (all four cells, fewer sessions).
 chaos-net-smoke:
-	dune exec bin/main.exe -- chaos --net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
+	dune exec bin/main.exe -- chaos --backend net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
 
 # Bounded model checking: exhaustively explore every schedule of the
 # small roster instances with source-DPOR (wakeup trees over the audited

@@ -105,20 +105,29 @@ let bench_f2 () =
 let bench_f3 () =
   ignore (Combined.run { Combined.n = 1024; variant = Combined.Geometric { ell = 3 } } ~seed:11L)
 
+(* T17/T18 rows: the churn driver's service and sharded presets. *)
 let service_churn_cfg =
-  Renaming_service.Churn.make_config ~clients:64 ~sessions_target:2_000 ~capacity:32
+  Renaming_service.Net_churn.make_config ~clients:64 ~sessions_target:2_000
+    ~faults:Renaming_service.Transport.perfect
+    ~router:(Renaming_service.Net_campaign.service_router ~slice_capacity:16 ())
     ~crash_rate:0.25 ()
 
-let bench_t17 () = ignore (Renaming_service.Churn.run service_churn_cfg ~seed:17L)
+let bench_t17 () = ignore (Renaming_service.Net_churn.run service_churn_cfg ~seed:17L)
 
 let sharded_churn_cfg =
-  Renaming_service.Shard_churn.make_config ~clients:32 ~sessions_target:1_000
-    ~crash_rate:0.15
-    ~handoff:{ Renaming_service.Shard_churn.h_every = 10.0; h_crash_src = 0.2; h_crash_dst = 0.1 }
+  Renaming_service.Net_churn.make_config ~clients:32 ~sessions_target:1_000
+    ~faults:Renaming_service.Transport.perfect ~crash_rate:0.15
+    ~handoff:
+      {
+        Renaming_service.Net_churn.h_every = 10.0;
+        h_crash_src = 0.2;
+        h_crash_dst = 0.1;
+        h_restart = 30.0;
+      }
     ()
 
 let bench_t18 () =
-  ignore (Renaming_service.Shard_churn.run sharded_churn_cfg ~seed:18L)
+  ignore (Renaming_service.Net_churn.run sharded_churn_cfg ~seed:18L)
 
 let micro_tests =
   Test.make_grouped ~name:"renaming"

@@ -5,11 +5,9 @@ module Fuzz = Renaming_fuzz.Fuzz
 module Check = Renaming_refine.Check
 module Exec_adapter = Renaming_refine.Exec_adapter
 module Lease_adapter = Renaming_refine.Lease_adapter
-module Longlived = Renaming_longlived.Longlived
-module Churn = Renaming_service.Churn
-module Shard_churn = Renaming_service.Shard_churn
 module Net_churn = Renaming_service.Net_churn
 module Router = Renaming_service.Router
+module Transport = Renaming_service.Transport
 
 type backend_report = {
   b_name : string;
@@ -148,82 +146,55 @@ let fuzz_stage ?obs ~smoke () =
   let runs = List.fold_left (fun acc r -> acc + r.Fuzz.r_iterations + 1) 0 summary.Fuzz.s_results in
   report ~name:"executor-fuzz" ~backend:"executor" ~runs t
 
-(* --- lease-service backend: closed-loop churn with crash-restart and
-   stale ghosts, observed through the audit tap --- *)
+(* --- churn backends: the one churn driver under its three presets,
+   observed through the router tap.  Absorbs arrive as [Tap_absorb] and
+   refine to reclaims of every name the spec still believes held in the
+   slice; retransmits, dedup replays and fenced ghosts never reach the
+   tap, so they refine to stutters by construction --- *)
 
+let churn_stage ?obs ~name ~backend ~seeds (cfg : Net_churn.config) =
+  let t = tally () in
+  List.iter
+    (fun seed ->
+      let adapter, tap = Lease_adapter.of_router ?obs cfg.Net_churn.router in
+      remember t (Lease_adapter.check adapter);
+      ignore (Net_churn.run ~tap cfg ~seed))
+    seeds;
+  report ~name ~backend ~runs:(List.length seeds) t
+
+let churn_size ~smoke ~full = (if smoke then 24 else 64), if smoke then 300 else full
+
+(* The lease service alone: the smallest router on a perfect network,
+   crash-restart clients and stale ghosts. *)
 let service_stage ?obs ~smoke () =
-  let cfg =
-    Churn.make_config
-      ~clients:(if smoke then 24 else 64)
-      ~sessions_target:(if smoke then 300 else 2_000)
-      ~capacity:32 ()
-  in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
-  let t = tally () in
-  let seeds = if smoke then [ 0x5EED_11L ] else [ 0x5EED_11L; 0x5EED_12L ] in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed))
-    seeds;
-  report ~name:"service-churn" ~backend:"service" ~runs:(List.length seeds) t
+  let clients, sessions_target = churn_size ~smoke ~full:2_000 in
+  Net_churn.make_config ~clients ~sessions_target ~faults:Transport.perfect
+    ~router:(Renaming_service.Net_campaign.service_router ~slice_capacity:16 ())
+    ()
+  |> churn_stage ?obs ~name:"service-churn" ~backend:"service"
+       ~seeds:(if smoke then [ 0x5EED_11L ] else [ 0x5EED_11L; 0x5EED_12L ])
 
-(* --- sharded-router backend: slice handoffs (some crashed mid-transit),
-   shard stalls and bursts; absorbs arrive as [Tap_absorb] and refine to
-   reclaims of every name the spec still believes held in the slice --- *)
-
+(* The sharded router: slice handoffs (some crashed mid-transit) and
+   shard stalls. *)
 let router_stage ?obs ~smoke () =
-  let cfg =
-    Shard_churn.make_config
-      ~clients:(if smoke then 24 else 64)
-      ~sessions_target:(if smoke then 300 else 2_000)
-      ~handoff:{ Shard_churn.h_every = 6.0; h_crash_src = 0.1; h_crash_dst = 0.1 }
-      ~stall:{ Shard_churn.st_every = 11.0; st_duration = 9.0 }
-      ()
-  in
-  let rcfg = cfg.Shard_churn.router in
-  let slice_width =
-    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
-  in
-  let namespace = rcfg.Router.slices * slice_width in
-  let t = tally () in
-  let seeds = if smoke then [ 0x5EED_21L ] else [ 0x5EED_21L; 0x5EED_22L ] in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Shard_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
-    seeds;
-  report ~name:"router-churn" ~backend:"router" ~runs:(List.length seeds) t
+  let clients, sessions_target = churn_size ~smoke ~full:2_000 in
+  Net_churn.make_config ~clients ~sessions_target ~faults:Transport.perfect
+    ~handoff:{ Net_churn.h_every = 6.0; h_crash_src = 0.1; h_crash_dst = 0.1; h_restart = 30.0 }
+    ~stall:{ Net_churn.st_every = 11.0; st_duration = 9.0 }
+    ()
+  |> churn_stage ?obs ~name:"router-churn" ~backend:"router"
+       ~seeds:(if smoke then [ 0x5EED_21L ] else [ 0x5EED_21L; 0x5EED_22L ])
 
-(* --- net backend: the same router observed through an unreliable
-   transport — retransmits, dedup replays and fenced ghosts never reach
-   the audit tap, so they refine to stutters by construction --- *)
-
+(* The same router over an unreliable transport with partitions and
+   silent shard crashes. *)
 let net_stage ?obs ~smoke () =
-  let cfg =
-    Net_churn.make_config
-      ~clients:(if smoke then 24 else 64)
-      ~sessions_target:(if smoke then 300 else 1_500)
-      ~partition:{ Net_churn.p_every = 40.0; p_duration = 4.0; p_both = 0.5 }
-      ~shard_crash:{ Net_churn.c_every = 60.0; c_restart = 10.0 }
-      ()
-  in
-  let rcfg = cfg.Net_churn.router in
-  let slice_width =
-    Longlived.namespace_for ~sessions:rcfg.Router.slice_capacity ~epsilon:rcfg.Router.epsilon
-  in
-  let namespace = rcfg.Router.slices * slice_width in
-  let t = tally () in
-  let seeds = if smoke then [ 0x5EED_31L ] else [ 0x5EED_31L; 0x5EED_32L ] in
-  List.iter
-    (fun seed ->
-      let adapter = Lease_adapter.create ?obs ~namespace () in
-      remember t (Lease_adapter.check adapter);
-      ignore (Net_churn.run ~tap:(Lease_adapter.router_tap adapter ~slice_width) cfg ~seed))
-    seeds;
-  report ~name:"net-churn" ~backend:"net" ~runs:(List.length seeds) t
+  let clients, sessions_target = churn_size ~smoke ~full:1_500 in
+  Net_churn.make_config ~clients ~sessions_target
+    ~partition:{ Net_churn.p_every = 40.0; p_duration = 4.0; p_both = 0.5 }
+    ~shard_crash:{ Net_churn.c_every = 60.0; c_restart = 10.0 }
+    ()
+  |> churn_stage ?obs ~name:"net-churn" ~backend:"net"
+       ~seeds:(if smoke then [ 0x5EED_31L ] else [ 0x5EED_31L; 0x5EED_32L ])
 
 (* --- seeded-mutant self-test: the post-reclaim double grant must be
    found by the refinement-aware fuzzer, shrink to a 1-minimal [.repro],

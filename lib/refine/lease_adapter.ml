@@ -42,3 +42,11 @@ let router_tap t ~slice_width (ev : Router.tap_event) =
         | Some session -> feed t (Obs_event.Reclaimed { session; name })
         | None -> ()
       done
+
+let of_router ?obs (cfg : Router.config) =
+  let slice_width =
+    Renaming_longlived.Longlived.namespace_for ~sessions:cfg.Router.slice_capacity
+      ~epsilon:cfg.Router.epsilon
+  in
+  let t = create ?obs ~namespace:(cfg.Router.slices * slice_width) () in
+  (t, router_tap t ~slice_width)

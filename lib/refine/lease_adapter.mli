@@ -43,3 +43,10 @@ val service_tap : t -> now:float -> Renaming_service.Audit.event -> unit
 val router_tap : t -> slice_width:int -> Renaming_service.Router.tap_event -> unit
 (** Shape of [Router.create ?tap] (partially applied on
     [slice_width]); globalizes slice-local names. *)
+
+val of_router :
+  ?obs:Renaming_obs.Obs.t ->
+  Renaming_service.Router.config ->
+  t * (Renaming_service.Router.tap_event -> unit)
+(** A fresh adapter over a router's whole namespace
+    ([slices × slice_width]) and the tap feeding it. *)

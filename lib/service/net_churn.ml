@@ -3,10 +3,20 @@ module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Retry = Renaming_faults.Retry
 module Arrival = Renaming_workload.Arrival
+module Crash_pattern = Renaming_workload.Crash_pattern
 module Zipf = Renaming_workload.Zipf
 
+type burst = { b_at : int; b_width : int; b_failures : int }
 type partition_plan = { p_every : float; p_duration : float; p_both : float }
 type crash_plan = { c_every : float; c_restart : float }
+type stall_plan = { st_every : float; st_duration : float }
+
+type handoff_plan = {
+  h_every : float;
+  h_crash_src : float;
+  h_crash_dst : float;
+  h_restart : float;
+}
 
 type config = {
   clients : int;
@@ -28,8 +38,11 @@ type config = {
   rto_retries : int;
   backoff_unit : float;
   arrival : Arrival.pattern;
+  burst : burst option;
   partition : partition_plan option;
   shard_crash : crash_plan option;
+  stall : stall_plan option;
+  handoff : handoff_plan option;
   max_events : int;
 }
 
@@ -40,8 +53,8 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     ?(mean_think = 4.0) ?(renew_every = 3.0) ?(crash_rate = 0.1)
     ?(stale_wakeup = 0.2) ?(client_restart_delay = 8.0) ?(max_attempts = 8)
     ?(rto_retries = 3) ?(backoff_unit = 0.25)
-    ?(arrival = Arrival.Staggered { gap = 1 }) ?partition ?shard_crash
-    ?(max_events = 200_000_000) () =
+    ?(arrival = Arrival.Staggered { gap = 1 }) ?burst ?partition ?shard_crash ?stall
+    ?handoff ?(max_events = 200_000_000) () =
   let maxd = faults.Transport.delay_max +. faults.Transport.reorder_extra in
   if clients < 1 then invalid_arg "Net_churn.make_config: clients must be >= 1";
   if sessions_target < 1 then
@@ -85,6 +98,20 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
   | Some c when c.c_every <= 0. || c.c_restart <= 0. ->
     invalid_arg "Net_churn.make_config: malformed crash plan"
   | _ -> ());
+  (match burst with
+  | Some b when b.b_failures < 1 || b.b_failures > clients || b.b_at < 0 || b.b_width < 1 ->
+    invalid_arg "Net_churn.make_config: malformed burst"
+  | _ -> ());
+  (match stall with
+  | Some st when st.st_every <= 0. || st.st_duration <= 0. ->
+    invalid_arg "Net_churn.make_config: malformed stall plan"
+  | _ -> ());
+  (match handoff with
+  | Some h
+    when h.h_every <= 0. || h.h_restart <= 0. || h.h_crash_src < 0. || h.h_crash_dst < 0.
+         || h.h_crash_src +. h.h_crash_dst > 1. ->
+    invalid_arg "Net_churn.make_config: malformed handoff plan"
+  | _ -> ());
   {
     clients;
     sessions_target;
@@ -105,8 +132,11 @@ let make_config ?(clients = 96) ?(sessions_target = 8_000)
     rto_retries;
     backoff_unit;
     arrival;
+    burst;
     partition;
     shard_crash;
+    stall;
+    handoff;
     max_events;
   }
 
@@ -173,11 +203,14 @@ type ev =
   | E_finish of { client : int; gen : int }
   | E_client_crash of { client : int; gen : int }
   | E_client_restart of { client : int; gen : int }
+  | E_burst_crash of { client : int }
   | E_stale of { fence : Router.gfence }
   | E_hb of { shard : int }
   | E_partition of unit
   | E_shard_crash of unit
   | E_shard_restart of { shard : int }
+  | E_stall of unit
+  | E_handoff of unit
   | E_tick of unit
 
 type summary = {
@@ -186,6 +219,7 @@ type summary = {
   client_restarts : int;
   shard_crashes : int;
   shard_restarts : int;
+  shard_stalls : int;
   partitions : int;
   abandoned : int;
   resends : int;
@@ -202,6 +236,7 @@ type summary = {
   double_grants : int;
   stale_ops : int;
   stale_rejected : int;
+  stale_fenced : int;
   stale_ok : int;
   events : int;
   sim_time : float;
@@ -216,6 +251,11 @@ type summary = {
   dedup : Dedup.stats;
   detector : Router.detector_stats;
   router : Router.stats;
+  service : Service.stats;
+  h_probes : Renaming_obs.Hist.t;
+  h_reclaim : Renaming_obs.Hist.t;
+  h_wait : Renaming_obs.Hist.t;
+  h_lifetime : Renaming_obs.Hist.t;
 }
 
 let run ?obs ?tap (cfg : config) ~seed =
@@ -292,6 +332,7 @@ let run ?obs ?tap (cfg : config) ~seed =
   let client_restarts = ref 0 in
   let shard_crashes = ref 0 in
   let shard_restarts = ref 0 in
+  let shard_stalls = ref 0 in
   let partitions = ref 0 in
   let abandoned = ref 0 in
   let resends = ref 0 in
@@ -308,6 +349,7 @@ let run ?obs ?tap (cfg : config) ~seed =
   let double_grants = ref 0 in
   let stale_ops = ref 0 in
   let stale_rejected = ref 0 in
+  let stale_fenced = ref 0 in
   let stale_ok = ref 0 in
   let peak_held = ref 0 in
   let n_events = ref 0 in
@@ -316,12 +358,25 @@ let run ?obs ?tap (cfg : config) ~seed =
   let active_clients = ref cfg.clients in
   let partition_rr = ref 0 in
   let crash_rr = ref 0 in
+  let stall_rr = ref 0 in
+  let handoff_rr = ref 0 in
   let ghost_next = ref cfg.clients in
   (* (slice, ticket) -> (client, rid seq), for turning queue completions
      back into replies to the rid that enqueued. *)
   let waiting = ref [] in
   let jitter ~around = around *. (0.5 +. Sample.float_unit rng) in
-  let schedule ~at ev = Heap.push heap ~time:(max at !sim_now) ev in
+  (* Non-periodic events still in the heap: heartbeats outlive the
+     workload until these drain, so the tail of the run (ghost replays,
+     shard restarts, late retransmits) still meets a live detector. *)
+  let pending = ref 0 in
+  let periodic = function
+    | E_hb _ | E_partition _ | E_shard_crash _ | E_stall _ | E_handoff _ | E_tick _ -> true
+    | _ -> false
+  in
+  let schedule ~at ev =
+    if not (periodic ev) then incr pending;
+    Heap.push heap ~time:(max at !sim_now) ev
+  in
   let think c = jitter ~around:(cfg.mean_think *. c.think_scale) in
 
   let send ~src ~dst m = Transport.send net ~now:!sim_now ~src ~dst m in
@@ -444,31 +499,61 @@ let run ?obs ?tap (cfg : config) ~seed =
     done
   in
 
-  let silent_crash shard =
+  let silent_crash shard ~restart =
     let sh = Router.shard router ~id:shard in
     if Shard.alive sh ~now:!sim_now then begin
-      disrupt_owned ~shard;
-      List.iter
-        (fun (slice, from_, _to) ->
-          if from_ = shard then disruption.(slice) <- disruption.(slice) + 1)
-        (Router.in_transit router);
-      (* The body and its dedup tables die together; pending tickets on
-         the lost slices can never complete. *)
+      let leaving =
+        List.filter_map
+          (fun (slice, from_, _to) -> if from_ = shard then Some slice else None)
+          (Router.in_transit router)
+      in
+      (* Every body resident here — owned, or in transit from here — dies
+         with its leases and its dedup table; pending tickets on the lost
+         slices can never complete. *)
       for slice = 0 to n_slices - 1 do
-        if Router.owner router ~slice = Some shard then begin
+        if Router.owner router ~slice = Some shard || List.mem slice leaving then begin
+          disruption.(slice) <- disruption.(slice) + 1;
           retire_dedup slice;
           waiting := List.filter (fun ((s, _), _) -> s <> slice) !waiting
         end
       done;
       Shard.crash sh ~now:!sim_now;
       incr shard_crashes;
-      match cfg.shard_crash with
-      | Some c ->
-        schedule
-          ~at:(!sim_now +. jitter ~around:c.c_restart)
-          (E_shard_restart { shard })
-      | None -> ()
+      schedule ~at:(!sim_now +. jitter ~around:restart) (E_shard_restart { shard })
     end
+  in
+
+  (* A shard silent for at least [suspicion] (partitioned from the
+     router, or stalled) can lose its slices to adoption; either way the
+     fences it issued before are doomed. *)
+  let silence shard ~until = if until -. !sim_now >= cfg.suspicion then disrupt_owned ~shard in
+
+  (* Forced rebalancing: move the next slice (round-robin) that can go to
+     a live shard after its owner.  Completion needs a strictly later
+     pump, so a crash injected at this instant lands mid-transit. *)
+  let forced_handoff h =
+    let alive s = Shard.alive (Router.shard router ~id:s) ~now:!sim_now in
+    let rec attempt tries =
+      if tries < n_slices then begin
+        let slice = !handoff_rr mod n_slices in
+        incr handoff_rr;
+        let target =
+          match Router.owner router ~slice with
+          | None -> None
+          | Some from_ ->
+            List.init (n_shards - 1) (fun i -> (from_ + 1 + i) mod n_shards)
+            |> List.find_opt alive
+            |> Option.map (fun to_ -> (from_, to_))
+        in
+        match target with
+        | Some (from_, to_) when Router.begin_handoff router ~slice ~to_ = Ok () ->
+          let u = Sample.float_unit rng in
+          if u < h.h_crash_src then silent_crash from_ ~restart:h.h_restart
+          else if u < h.h_crash_src +. h.h_crash_dst then silent_crash to_ ~restart:h.h_restart
+        | _ -> attempt (tries + 1)
+      end
+    in
+    attempt 0
   in
 
   (* {2 Node message handlers} *)
@@ -630,7 +715,10 @@ let run ?obs ?tap (cfg : config) ~seed =
   let ghost_reply body =
     match body with
     | B_ok -> incr stale_ok
-    | B_fenced | B_busy _ | B_timeout -> incr stale_rejected
+    | B_fenced ->
+      incr stale_rejected;
+      incr stale_fenced
+    | B_busy _ | B_timeout -> incr stale_rejected
     | B_granted _ | B_queued | B_shed | B_redirect _ -> ()
   in
 
@@ -767,6 +855,21 @@ let run ?obs ?tap (cfg : config) ~seed =
   (match cfg.shard_crash with
   | None -> ()
   | Some c -> schedule ~at:c.c_every (E_shard_crash ()));
+  (match cfg.stall with
+  | None -> ()
+  | Some st -> schedule ~at:st.st_every (E_stall ()));
+  (match cfg.handoff with
+  | None -> ()
+  | Some h -> schedule ~at:h.h_every (E_handoff ()));
+  (* Correlated client crashes: each (time, client) of the burst crashes
+     that client if it is holding when the burst reaches it. *)
+  (match cfg.burst with
+  | None -> ()
+  | Some b ->
+    List.iter
+      (fun (time, client) -> schedule ~at:(float_of_int time) (E_burst_crash { client }))
+      (Crash_pattern.burst ~rng ~n:cfg.clients ~failures:b.b_failures ~at:b.b_at
+         ~width:b.b_width));
   schedule ~at:(cfg.router.Router.ttl /. 2.) (E_tick ());
 
   let fresh c gen = c.gen = gen in
@@ -868,6 +971,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     | E_client_crash { client = idx; gen } ->
       let c = clients.(idx) in
       if fresh c gen then crash_holding idx
+    | E_burst_crash { client = idx } -> crash_holding idx
     | E_client_restart { client = idx; gen } ->
       let c = clients.(idx) in
       if fresh c gen then begin
@@ -895,7 +999,7 @@ let run ?obs ?tap (cfg : config) ~seed =
       if Shard.alive sh ~now:!sim_now then
         send ~src:(Transport.Shard shard) ~dst:Transport.Router
           (M_hb { shard; incarnation = incarnation.(shard) });
-      if !active_clients > 0 then
+      if !active_clients > 0 || !pending > 0 then
         schedule ~at:(!sim_now +. cfg.hb_every) (E_hb { shard })
     | E_partition () -> (
       match cfg.partition with
@@ -915,10 +1019,7 @@ let run ?obs ?tap (cfg : config) ~seed =
           if Sample.bernoulli rng p.p_both then
             Transport.partition net ~src:Transport.Router ~dst:(Transport.Shard shard)
               ~until;
-          (* A partition long enough to trigger suspicion can cost the
-             shard its slices (adoption) or its holders their renews;
-             either way the fences issued before it are doomed. *)
-          if until -. !sim_now >= cfg.suspicion then disrupt_owned ~shard
+          silence shard ~until
         end;
         if !active_clients > 0 then
           schedule ~at:(!sim_now +. p.p_every) (E_partition ()))
@@ -936,7 +1037,7 @@ let run ?obs ?tap (cfg : config) ~seed =
         if alive * 2 > n_shards then begin
           let shard = !crash_rr mod n_shards in
           incr crash_rr;
-          silent_crash shard
+          silent_crash shard ~restart:c.c_restart
         end;
         if !active_clients > 0 then
           schedule ~at:(!sim_now +. c.c_every) (E_shard_crash ()))
@@ -952,6 +1053,25 @@ let run ?obs ?tap (cfg : config) ~seed =
          only through the bump. *)
       send ~src:(Transport.Shard shard) ~dst:Transport.Router
         (M_hb { shard; incarnation = incarnation.(shard) })
+    | E_stall () -> (
+      match cfg.stall with
+      | None -> ()
+      | Some st ->
+        let shard = !stall_rr mod n_shards in
+        incr stall_rr;
+        if Shard.alive (Router.shard router ~id:shard) ~now:!sim_now then begin
+          incr shard_stalls;
+          let until = !sim_now +. jitter ~around:st.st_duration in
+          silence shard ~until;
+          Router.stall_shard router ~id:shard ~until
+        end;
+        if !active_clients > 0 then schedule ~at:(!sim_now +. st.st_every) (E_stall ()))
+    | E_handoff () -> (
+      match cfg.handoff with
+      | None -> ()
+      | Some h ->
+        forced_handoff h;
+        if !active_clients > 0 then schedule ~at:(!sim_now +. h.h_every) (E_handoff ()))
     | E_tick () ->
       Array.iter (fun d -> ignore (Dedup.sweep d ~now:!sim_now)) dedup;
       if !active_clients > 0 then
@@ -983,6 +1103,7 @@ let run ?obs ?tap (cfg : config) ~seed =
              | None -> ()
              | Some (time, ev) ->
                incr n_events;
+               if not (periodic ev) then decr pending;
                sim_now := max !sim_now time;
                pump ();
                handle_event ev
@@ -1002,12 +1123,14 @@ let run ?obs ?tap (cfg : config) ~seed =
         acc)
       dedup_retired dedup
   in
+  let ledger = Router.service_ledger router in
   {
     sessions = !minted;
     client_crashes = !client_crashes;
     client_restarts = !client_restarts;
     shard_crashes = !shard_crashes;
     shard_restarts = !shard_restarts;
+    shard_stalls = !shard_stalls;
     partitions = !partitions;
     abandoned = !abandoned;
     resends = !resends;
@@ -1024,6 +1147,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     double_grants = !double_grants;
     stale_ops = !stale_ops;
     stale_rejected = !stale_rejected;
+    stale_fenced = !stale_fenced;
     stale_ok = !stale_ok;
     events = !n_events;
     sim_time = !sim_now;
@@ -1038,4 +1162,9 @@ let run ?obs ?tap (cfg : config) ~seed =
     dedup = dedup_total;
     detector = Option.get (Router.detector_stats router);
     router = Router.stats router;
+    service = ledger.Service.l_stats;
+    h_probes = ledger.Service.l_probes;
+    h_reclaim = ledger.Service.l_reclaim;
+    h_wait = ledger.Service.l_wait;
+    h_lifetime = ledger.Service.l_lifetime;
   }

@@ -1,7 +1,11 @@
-(** Churn workload for the sharded service over an unreliable network.
+(** The churn driver: a closed-loop client population against the
+    sharded lease service, every operation a message.
 
-    Unlike {!Shard_churn}, where clients call the router in-process,
-    every operation here is a typed envelope through {!Transport}:
+    Clients mint a session, acquire a name (Zipf-skewed keys, cached
+    shard hints), hold it while renewing, release and think; with
+    probability [crash_rate] a holder crashes instead, restarts later,
+    and its ghost may replay the dead fence.  Every operation is a typed
+    envelope through {!Transport}:
     clients send requests to the router node, the router resolves the
     slice through its directory and failure-detector view ({!Router.route})
     and forwards to the owning shard with the directory epoch, the shard
@@ -26,6 +30,14 @@
       [Router.crash_shard]) — the router only ever learns from missing
       heartbeats or a higher incarnation number.
 
+    In-process deployments are presets of the same driver (IronFleet's
+    framing: a local call is a message on a reliable network).  The
+    lease-service preset runs the smallest router the directory allows
+    on {!Transport.perfect} with no node faults; the sharded preset adds
+    forced handoffs crashed mid-transit ([handoff]), silent shard
+    crashes ([shard_crash]) and stalls ([stall]); the net preset adds
+    message faults and partitions.
+
     The run aborts on the first audit violation, and additionally audits
     {e at-most-once} end-to-end: a request id whose acquire executes
     effectfully twice without the slice provably losing its body in
@@ -36,6 +48,11 @@
     documenting them: [suspicion > hb_every],
     [grace >= ttl + hb_every + 2·max network delay], and
     [dedup_window >= retransmit horizon + 2·max network delay]. *)
+
+type burst = { b_at : int; b_width : int; b_failures : int }
+(** Correlated client crashes: [b_failures] distinct clients crash (if
+    holding) within [b_width] time units of [b_at]
+    ({!Renaming_workload.Crash_pattern.burst}). *)
 
 type partition_plan = {
   p_every : float;  (** mean time between partition injections *)
@@ -53,6 +70,24 @@ type crash_plan = {
           inside the suspicion window (exercising incarnation orphans)
           and outside it (exercising sweep suspicions) *)
 }
+
+type stall_plan = { st_every : float; st_duration : float }
+(** Every [st_every], stall the next live shard (round-robin) for a
+    duration jittered ×[0.5, 1.5] around [st_duration].  The stalled
+    shard stops serving and heartbeating; one the detector suspects and
+    then outlives the grace loses its slices to adoption, and on waking
+    drops the stale bodies. *)
+
+type handoff_plan = {
+  h_every : float;  (** mean time between forced slice handoffs *)
+  h_crash_src : float;  (** P[crash the source shard mid-transit] *)
+  h_crash_dst : float;  (** P[crash the destination shard mid-transit] *)
+  h_restart : float;  (** mean restart delay of a shard crashed mid-transit *)
+}
+(** Every [h_every], move the next slice (round-robin) to the next live
+    shard after its owner, and crash the source or destination in the
+    transit window with the given probabilities (silent crashes, like
+    [shard_crash]'s). *)
 
 type config = {
   clients : int;
@@ -74,8 +109,11 @@ type config = {
   rto_retries : int;  (** same-rid retransmits before a fresh attempt *)
   backoff_unit : float;  (** scales jittered backoff ticks to sim time *)
   arrival : Renaming_workload.Arrival.pattern;
+  burst : burst option;
   partition : partition_plan option;
   shard_crash : crash_plan option;
+  stall : stall_plan option;
+  handoff : handoff_plan option;
   max_events : int;
 }
 
@@ -99,8 +137,11 @@ val make_config :
   ?rto_retries:int ->
   ?backoff_unit:float ->
   ?arrival:Renaming_workload.Arrival.pattern ->
+  ?burst:burst ->
   ?partition:partition_plan ->
   ?shard_crash:crash_plan ->
+  ?stall:stall_plan ->
+  ?handoff:handoff_plan ->
   ?max_events:int ->
   unit ->
   config
@@ -114,6 +155,7 @@ type summary = {
   client_restarts : int;
   shard_crashes : int;
   shard_restarts : int;
+  shard_stalls : int;
   partitions : int;
   abandoned : int;
   resends : int;  (** same-rid retransmits (timeout, poll and renew) *)
@@ -132,8 +174,9 @@ type summary = {
   double_grants : int;
       (** at-most-once violations: a rid executed effectfully twice with
           no body loss in between — must be 0 *)
-  stale_ops : int;
-  stale_rejected : int;
+  stale_ops : int;  (** ghost operations replayed, three per ghost *)
+  stale_rejected : int;  (** ghost operations answered fenced, busy or timed out *)
+  stale_fenced : int;  (** ghost operations that reached the fence *)
   stale_ok : int;  (** ghost operations that succeeded — must be 0 *)
   events : int;
   sim_time : float;
@@ -148,7 +191,16 @@ type summary = {
   dedup : Dedup.stats;  (** aggregated over every slice table, including
                             tables retired by crashes *)
   detector : Router.detector_stats;
+      (** heartbeats run until the last client has finished and every
+          non-periodic event has fired, so a fault-free run reports no
+          suspicions *)
   router : Router.stats;
+  service : Service.stats;
+      (** over every slice body of the run ({!Router.service_ledger}) *)
+  h_probes : Renaming_obs.Hist.t;  (** probes per grant *)
+  h_reclaim : Renaming_obs.Hist.t;  (** centiticks from expiry to reclamation *)
+  h_wait : Renaming_obs.Hist.t;  (** centiticks queued before grant or timeout *)
+  h_lifetime : Renaming_obs.Hist.t;  (** centiticks from grant to release *)
 }
 
 val run :

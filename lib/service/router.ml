@@ -175,6 +175,7 @@ type t = {
   shards : Shard.t array;
   dir : entry array;
   gaudit : Gaudit.t;
+  ledger : Service.ledger;
   slice_width : int;
   st : stats;
   obs : Obs.t option;
@@ -197,7 +198,7 @@ let slice_service t ~slice ~epoch =
     Admission.make_config ~queue_limit:t.cfg.queue_limit
       ~request_timeout:t.cfg.request_timeout ~high_water:t.cfg.high_water ()
   in
-  Service.create ?obs:t.obs
+  Service.create ?obs:t.obs ~ledger:t.ledger
     ~tap:(fun ~now ev ->
       Gaudit.on_event t.gaudit ~slice ev;
       match t.tap with Some f -> f (Tap_audit { slice; now; ev }) | None -> ())
@@ -225,6 +226,7 @@ let create ?obs ?tap ~clock ~seed cfg =
       shards = Array.init cfg.shards (fun id -> Shard.create ~id);
       dir = Array.make cfg.slices (Owned { shard = 0; epoch = 0 });
       gaudit = Gaudit.create ~slices:cfg.slices ~width:slice_width ~grace:cfg.grace;
+      ledger = Service.make_ledger ?obs ();
       slice_width;
       st =
         {
@@ -257,6 +259,7 @@ let create ?obs ?tap ~clock ~seed cfg =
 let slices t = t.cfg.slices
 let slice_width t = t.slice_width
 let stats t = t.st
+let service_ledger t = t.ledger
 let shard t ~id = t.shards.(id)
 
 let slice_of_key t ~key =
@@ -479,7 +482,6 @@ let fenced_op t ~fence f =
       Error `Fenced)
 
 let renew t ~fence = fenced_op t ~fence Service.renew
-let use t ~fence = fenced_op t ~fence Service.use
 let release t ~fence = fenced_op t ~fence Service.release
 
 (* {2 Fault injection} *)
@@ -495,7 +497,6 @@ let crash_shard t ~id =
       | _ -> ())
     t.dir
 
-let restart_shard t ~id = Shard.restart t.shards.(id)
 
 let stall_shard t ~id ~until =
   let now = Clock.now t.clock in

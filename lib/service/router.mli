@@ -130,7 +130,6 @@ val acquire : ?hint:int -> t -> session:int -> key:int -> outcome
     owner and no side effect. *)
 
 val renew : t -> fence:gfence -> (float, [ `Fenced | `Busy of busy ]) result
-val use : t -> fence:gfence -> (unit, [ `Fenced | `Busy of busy ]) result
 val release : t -> fence:gfence -> (float, [ `Fenced | `Busy of busy ]) result
 
 type completion = { c_slice : int; c_shard : int; c_done : Service.completion }
@@ -146,9 +145,6 @@ val pump : t -> completion list
 
 val crash_shard : t -> id:int -> unit
 (** Lose every resident slice body; its slices become orphaned now. *)
-
-val restart_shard : t -> id:int -> unit
-(** The shard returns empty and becomes eligible to adopt slices. *)
 
 val stall_shard : t -> id:int -> until:float -> unit
 (** The shard stops serving until [until] on the injected clock.  If the
@@ -216,6 +212,11 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val service_ledger : t -> Service.ledger
+(** Counters and histograms of every slice body the router has created,
+    shared across them all — including bodies since lost to crashes. *)
+
 val slices : t -> int
 val slice_width : t -> int
 val slice_of_key : t -> key:int -> int

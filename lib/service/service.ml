@@ -55,9 +55,39 @@ type t = {
 
 let centiticks x = if x <= 0. then 0 else int_of_float ((x *. 100.) +. 0.5)
 
-let create ?obs ?tap ~clock ~rng (cfg : config) =
-  let lease = Lease.create cfg.lease in
+type ledger = {
+  l_stats : stats;
+  l_probes : Hist.t;
+  l_reclaim : Hist.t;
+  l_wait : Hist.t;
+  l_lifetime : Hist.t;
+}
+
+let make_ledger ?obs () =
   let hist name = match obs with Some o -> Obs.histogram o name | None -> Hist.create () in
+  {
+    l_stats =
+      {
+        grants = 0;
+        queued = 0;
+        renews = 0;
+        releases = 0;
+        fenced = 0;
+        sheds_high_water = 0;
+        sheds_queue_full = 0;
+        expired_requests = 0;
+        reclaims = 0;
+        validates = 0;
+      };
+    l_probes = hist "service/probes";
+    l_reclaim = hist "service/reclaim_lateness";
+    l_wait = hist "service/queue_wait";
+    l_lifetime = hist "service/lease_lifetime";
+  }
+
+let create ?obs ?tap ?ledger ~clock ~rng (cfg : config) =
+  let lease = Lease.create cfg.lease in
+  let l = match ledger with Some l -> l | None -> make_ledger ?obs () in
   let counters =
     Option.map
       (fun o ->
@@ -81,24 +111,12 @@ let create ?obs ?tap ~clock ~rng (cfg : config) =
     admission = Admission.create cfg.admission;
     audit = Audit.create ?obs ~capacity:cfg.lease.Lease.capacity ~slots:(Lease.slots lease) ();
     tap;
-    st =
-      {
-        grants = 0;
-        queued = 0;
-        renews = 0;
-        releases = 0;
-        fenced = 0;
-        sheds_high_water = 0;
-        sheds_queue_full = 0;
-        expired_requests = 0;
-        reclaims = 0;
-        validates = 0;
-      };
+    st = l.l_stats;
     counters;
-    h_probes = hist "service/probes";
-    h_reclaim = hist "service/reclaim_lateness";
-    h_wait = hist "service/queue_wait";
-    h_lifetime = hist "service/lease_lifetime";
+    h_probes = l.l_probes;
+    h_reclaim = l.l_reclaim;
+    h_wait = l.l_wait;
+    h_lifetime = l.l_lifetime;
   }
 
 let bump t f = match t.counters with Some c -> Metrics.incr (f c) | None -> ()
@@ -255,7 +273,3 @@ let deadline_expired t = Admission.expired_total t.admission
 let audit_live t = Audit.live t.audit
 let audit_near_misses t = Audit.near_misses t.audit
 let audit_violations t = Audit.violations t.audit
-let probes_hist t = t.h_probes
-let reclaim_lateness_hist t = t.h_reclaim
-let queue_wait_hist t = t.h_wait
-let lifetime_hist t = t.h_lifetime

@@ -20,16 +20,47 @@ val make_config : ?lease:Lease.config -> ?admission:Admission.config -> unit -> 
 
 type t
 
+type stats = {
+  mutable grants : int;
+  mutable queued : int;
+  mutable renews : int;
+  mutable releases : int;
+  mutable fenced : int;  (** stale operations rejected by epoch fencing *)
+  mutable sheds_high_water : int;
+  mutable sheds_queue_full : int;
+  mutable expired_requests : int;
+  mutable reclaims : int;
+  mutable validates : int;
+}
+
+type ledger = {
+  l_stats : stats;
+  l_probes : Renaming_obs.Hist.t;  (** probes per grant *)
+  l_reclaim : Renaming_obs.Hist.t;  (** centiticks from expiry to reclamation *)
+  l_wait : Renaming_obs.Hist.t;  (** centiticks queued before grant or timeout *)
+  l_lifetime : Renaming_obs.Hist.t;  (** centiticks from grant to voluntary release *)
+}
+(** Where a service records its counters and histograms. *)
+
+val make_ledger : ?obs:Renaming_obs.Obs.t -> unit -> ledger
+(** Zeroed counters; the histograms are [obs]'s registry ones when
+    given, fresh otherwise. *)
+
 val create :
   ?obs:Renaming_obs.Obs.t ->
   ?tap:(now:float -> Audit.event -> unit) ->
+  ?ledger:ledger ->
   clock:Renaming_clock.Clock.t ->
   rng:Renaming_rng.Xoshiro.t ->
   config ->
   t
 (** [?tap] hears every audit event after the mirror has accepted it —
     the sharded router uses it to feed a cross-shard global-uniqueness
-    mirror without the service knowing about shards. *)
+    mirror without the service knowing about shards.  [?ledger] (default
+    a fresh [make_ledger ?obs ()]) may be shared by several services,
+    which then report its totals through {!stats} and the histogram
+    accessors — the router shares one across every slice body it ever
+    creates, so bodies lost to crashes keep counting. *)
 
 (** {2 Client operations} *)
 
@@ -62,19 +93,6 @@ val pump : t -> completion list
 
 (** {2 Introspection} *)
 
-type stats = {
-  mutable grants : int;
-  mutable queued : int;
-  mutable renews : int;
-  mutable releases : int;
-  mutable fenced : int;  (** stale operations rejected by epoch fencing *)
-  mutable sheds_high_water : int;
-  mutable sheds_queue_full : int;
-  mutable expired_requests : int;
-  mutable reclaims : int;
-  mutable validates : int;
-}
-
 val stats : t -> stats
 val held : t -> int
 val utilization : t -> float
@@ -95,18 +113,6 @@ val audit_near_misses : t -> int
 val audit_violations : t -> int
 (** Violations the audit mirror detected (each also raised). *)
 
-val probes_hist : t -> Renaming_obs.Hist.t
-(** Probes per grant. *)
-
-val reclaim_lateness_hist : t -> Renaming_obs.Hist.t
-(** Centiticks between lease expiry and its reclamation. *)
-
-val queue_wait_hist : t -> Renaming_obs.Hist.t
-(** Centiticks queued requests waited before grant or timeout. *)
-
-val lifetime_hist : t -> Renaming_obs.Hist.t
-(** Centiticks between grant and voluntary release. *)
-
 val centiticks : float -> int
-(** The fixed time→bucket scaling used by the histograms above
+(** The fixed time→bucket scaling used by the ledger's histograms
     (1 clock unit = 100 centiticks). *)

@@ -18,7 +18,9 @@ module Shrink = Renaming_faults.Shrink
 module Fuzz = Renaming_fuzz.Fuzz
 module Fuzz_roster = Renaming_harness.Fuzz_roster
 module Refine_campaign = Renaming_harness.Refine_campaign
-module Churn = Renaming_service.Churn
+module Net_churn = Renaming_service.Net_churn
+module Net_campaign = Renaming_service.Net_campaign
+module Transport = Renaming_service.Transport
 module Longlived = Renaming_longlived.Longlived
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
@@ -368,25 +370,29 @@ let test_obs_counters () =
 
 (* --- Lease_adapter over the service backend --- *)
 
-let churn_config () = Churn.make_config ~clients:8 ~sessions_target:150 ~capacity:16 ()
+(* The churn driver's service preset at test size: 16 names over the
+   smallest router on a perfect network, observed through the router
+   tap. *)
+let churn_config () =
+  Net_churn.make_config ~clients:8 ~sessions_target:150 ~faults:Transport.perfect
+    ~router:(Net_campaign.service_router ~slice_capacity:8 ())
+    ()
 
 let test_lease_adapter_clean_churn () =
   let cfg = churn_config () in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
-  let adapter = Lease_adapter.create ~namespace () in
-  let summary = Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed:7L in
+  let adapter, tap = Lease_adapter.of_router cfg.Net_churn.router in
+  let summary = Net_churn.run ~tap cfg ~seed:7L in
   let c = Lease_adapter.check adapter in
-  check Alcotest.bool "churn ran" true (summary.Churn.sessions >= 150);
+  check Alcotest.bool "churn ran" true (summary.Net_churn.sessions >= 150);
   check Alcotest.int "no violations" 0 (Check.violations c);
   check Alcotest.bool "grants heard" true (Check.steps c > 0);
   check Alcotest.bool "renewals stuttered" true (Check.stutters c > 0)
 
 let test_observation_changes_nothing_service () =
   let cfg = churn_config () in
-  let namespace = Longlived.namespace_for ~sessions:cfg.Churn.capacity ~epsilon:cfg.Churn.epsilon in
-  let bare = Churn.run cfg ~seed:7L in
-  let adapter = Lease_adapter.create ~namespace () in
-  let tapped = Churn.run ~tap:(Lease_adapter.service_tap adapter) cfg ~seed:7L in
+  let bare = Net_churn.run cfg ~seed:7L in
+  let _, tap = Lease_adapter.of_router cfg.Net_churn.router in
+  let tapped = Net_churn.run ~tap cfg ~seed:7L in
   check Alcotest.bool "identical summary" true (bare = tapped)
 
 (* --- the seeded spec-divergence mutant --- *)

@@ -9,13 +9,12 @@ module Admission = Renaming_service.Admission
 module Minter = Renaming_service.Minter
 module Audit = Renaming_service.Audit
 module Service = Renaming_service.Service
-module Churn = Renaming_service.Churn
 module Router = Renaming_service.Router
 module Shard = Renaming_service.Shard
-module Shard_churn = Renaming_service.Shard_churn
 module Transport = Renaming_service.Transport
 module Dedup = Renaming_service.Dedup
 module Net_churn = Renaming_service.Net_churn
+module Net_campaign = Renaming_service.Net_campaign
 module Clock = Renaming_clock.Clock
 module Xoshiro = Renaming_rng.Xoshiro
 module Obs = Renaming_obs.Obs
@@ -327,42 +326,51 @@ let test_service_stale_fence_rejected () =
   | Ok () -> Alcotest.fail "old fence revived by regrant")
 
 (* ------------------------------------------------------------------ *)
-(* Churn simulation: deterministic, safe, and it actually reclaims.   *)
+(* Churn driver, service preset: deterministic, safe, and it actually  *)
+(* reclaims.                                                           *)
 
+(* The service preset at test size: 12 names over the smallest router, a
+   perfect network, no node faults. *)
 let churn_config () =
-  Churn.make_config ~clients:24 ~sessions_target:400 ~capacity:12 ~ttl:6.0
-    ~renew_every:2.0 ~queue_limit:16 ~request_timeout:3.0 ~crash_rate:0.4
-    ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0 ~restart_delay:5.0 ()
+  Net_churn.make_config ~clients:24 ~sessions_target:400 ~faults:Transport.perfect
+    ~router:
+      (Net_campaign.service_router ~slice_capacity:6 ~queue_limit:8 ~request_timeout:3.0 ())
+    ~renew_every:2.0 ~crash_rate:0.4 ~stale_wakeup:0.5 ~mean_hold:4.0 ~mean_think:2.0
+    ~client_restart_delay:5.0 ()
 
 let test_churn_safety_and_reclaim () =
-  let s = Churn.run (churn_config ()) ~seed:42L in
-  check Alcotest.(option (pair string string)) "no audit violation" None s.Churn.violation;
-  check Alcotest.bool "no livelock" false s.Churn.livelocked;
-  check Alcotest.bool "sessions ran" true (s.Churn.sessions >= 400);
-  check Alcotest.bool "crashes happened" true (s.Churn.crashes > 0);
-  check Alcotest.bool "names reclaimed" true (s.Churn.service.Service.reclaims > 0);
-  check Alcotest.int "every stale op fenced" s.Churn.stale_ops s.Churn.stale_rejected;
-  check Alcotest.bool "stale wakeups exercised" true (s.Churn.stale_ops > 0);
-  check Alcotest.int "no live-path fencing" 0 s.Churn.unexpected_fenced;
-  check Alcotest.bool "capacity respected" true (s.Churn.peak_held <= 12)
+  let cfg = churn_config () in
+  let s = Net_churn.run cfg ~seed:42L in
+  check Alcotest.(option (pair string string)) "no audit violation" None s.Net_churn.violation;
+  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+  check Alcotest.bool "sessions ran" true (s.Net_churn.sessions >= 400);
+  check Alcotest.bool "crashes happened" true (s.Net_churn.client_crashes > 0);
+  check Alcotest.bool "names reclaimed" true (s.Net_churn.service.Service.reclaims > 0);
+  check Alcotest.int "every stale op fenced" s.Net_churn.stale_ops s.Net_churn.stale_fenced;
+  check Alcotest.bool "stale wakeups exercised" true (s.Net_churn.stale_ops > 0);
+  check Alcotest.int "no live-path fencing" 0 s.Net_churn.unexpected_fenced;
+  let r = cfg.Net_churn.router in
+  check Alcotest.bool "capacity respected" true
+    (s.Net_churn.peak_held <= r.Router.slices * r.Router.slice_capacity)
 
 let test_churn_deterministic () =
-  let a = Churn.run (churn_config ()) ~seed:11L in
-  let b = Churn.run (churn_config ()) ~seed:11L in
-  check Alcotest.int "sessions" a.Churn.sessions b.Churn.sessions;
-  check Alcotest.int "crashes" a.Churn.crashes b.Churn.crashes;
-  check Alcotest.int "restarts" a.Churn.restarts b.Churn.restarts;
-  check Alcotest.int "stale ops" a.Churn.stale_ops b.Churn.stale_ops;
-  check Alcotest.int "retries" a.Churn.retries b.Churn.retries;
-  check Alcotest.int "events" a.Churn.events b.Churn.events;
-  check (Alcotest.float 1e-9) "sim time" a.Churn.sim_time b.Churn.sim_time;
-  check Alcotest.int "grants" a.Churn.service.Service.grants
-    b.Churn.service.Service.grants;
-  check Alcotest.int "reclaims" a.Churn.service.Service.reclaims
-    b.Churn.service.Service.reclaims;
+  let a = Net_churn.run (churn_config ()) ~seed:11L in
+  let b = Net_churn.run (churn_config ()) ~seed:11L in
+  check Alcotest.int "sessions" a.Net_churn.sessions b.Net_churn.sessions;
+  check Alcotest.int "crashes" a.Net_churn.client_crashes b.Net_churn.client_crashes;
+  check Alcotest.int "restarts" a.Net_churn.client_restarts b.Net_churn.client_restarts;
+  check Alcotest.int "stale ops" a.Net_churn.stale_ops b.Net_churn.stale_ops;
+  check Alcotest.int "resends" a.Net_churn.resends b.Net_churn.resends;
+  check Alcotest.int "events" a.Net_churn.events b.Net_churn.events;
+  check (Alcotest.float 1e-9) "sim time" a.Net_churn.sim_time b.Net_churn.sim_time;
+  check Alcotest.int "grants" a.Net_churn.service.Service.grants
+    b.Net_churn.service.Service.grants;
+  check Alcotest.int "reclaims" a.Net_churn.service.Service.reclaims
+    b.Net_churn.service.Service.reclaims;
   check Alcotest.int "sheds"
-    (a.Churn.service.Service.sheds_high_water + a.Churn.service.Service.sheds_queue_full)
-    (b.Churn.service.Service.sheds_high_water + b.Churn.service.Service.sheds_queue_full)
+    (a.Net_churn.service.Service.sheds_high_water + a.Net_churn.service.Service.sheds_queue_full)
+    (b.Net_churn.service.Service.sheds_high_water + b.Net_churn.service.Service.sheds_queue_full)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties (the ISSUE's S3 trio).                           *)
@@ -706,37 +714,39 @@ let test_router_stall_heals () =
   | _ -> Alcotest.fail "healed shard must serve"
 
 (* ------------------------------------------------------------------ *)
-(* Sharded churn: safety under shard faults, and determinism.         *)
+(* Churn driver, sharded preset: safety under shard faults, and       *)
+(* determinism.                                                        *)
 
 let shard_churn_cfg () =
-  Shard_churn.make_config ~clients:32 ~sessions_target:600 ~crash_rate:0.2
-    ~handoff:{ Shard_churn.h_every = 8.0; h_crash_src = 0.3; h_crash_dst = 0.2 }
-    ~shard_burst:{ Shard_churn.b_at = 40; b_width = 5; b_failures = 2 }
-    ~shard_restart_delay:30.0 ()
+  Net_churn.make_config ~clients:32 ~sessions_target:600 ~crash_rate:0.2
+    ~faults:Transport.perfect
+    ~handoff:{ Net_churn.h_every = 8.0; h_crash_src = 0.3; h_crash_dst = 0.2; h_restart = 30.0 }
+    ~shard_crash:{ Net_churn.c_every = 20.0; c_restart = 30.0 }
+    ()
 
 let test_shard_churn_safety () =
-  let s = Shard_churn.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
-  check Alcotest.int "all sessions ran" 600 s.Shard_churn.sessions;
-  check Alcotest.bool "no livelock" false s.Shard_churn.livelocked;
-  (match s.Shard_churn.violation with
+  let s = Net_churn.run (shard_churn_cfg ()) ~seed:0xD15EA5EL in
+  check Alcotest.int "all sessions ran" 600 s.Net_churn.sessions;
+  check Alcotest.bool "no livelock" false s.Net_churn.livelocked;
+  (match s.Net_churn.violation with
   | None -> ()
   | Some (kind, msg) -> Alcotest.fail (Printf.sprintf "audit violation %s: %s" kind msg));
-  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Shard_churn.gaudit_violations;
-  check Alcotest.int "no unexpected fences" 0 s.Shard_churn.unexpected_fenced;
-  check Alcotest.int "no fencing holes for ghosts" 0 s.Shard_churn.stale_ok;
+  check Alcotest.int "no cross-shard uniqueness breach" 0 s.Net_churn.gaudit_violations;
+  check Alcotest.int "no unexpected fences" 0 s.Net_churn.unexpected_fenced;
+  check Alcotest.int "no fencing holes for ghosts" 0 s.Net_churn.stale_ok;
   check Alcotest.bool "faults actually injected" true
-    (s.Shard_churn.shard_crashes >= 2
-    && s.Shard_churn.router.Router.handoffs_started >= 1)
+    (s.Net_churn.shard_crashes >= 2
+    && s.Net_churn.router.Router.handoffs_started >= 1)
 
 let test_shard_churn_deterministic () =
-  let run () = Shard_churn.run (shard_churn_cfg ()) ~seed:0xFACEL in
+  let run () = Net_churn.run (shard_churn_cfg ()) ~seed:0xFACEL in
   let a = run () and b = run () in
   check Alcotest.bool "same seed, same summary" true (a = b);
-  let c = Shard_churn.run (shard_churn_cfg ()) ~seed:0xFACE2L in
+  let c = Net_churn.run (shard_churn_cfg ()) ~seed:0xFACE2L in
   check Alcotest.bool "different seed, different trajectory" true
-    (c.Shard_churn.events <> a.Shard_churn.events
-    || c.Shard_churn.retries <> a.Shard_churn.retries
-    || c.Shard_churn.client_crashes <> a.Shard_churn.client_crashes)
+    (c.Net_churn.events <> a.Net_churn.events
+    || c.Net_churn.resends <> a.Net_churn.resends
+    || c.Net_churn.client_crashes <> a.Net_churn.client_crashes)
 
 (* ------------------------------------------------------------------ *)
 (* Transport: deterministic lossy messaging with bounded delivery.    *)
@@ -992,6 +1002,88 @@ let test_net_churn_config_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "grace below ttl + heartbeat + 2*delay must be rejected"
 
+(* With no fault injected the detector must stay quiet, through the
+   end of the run: the heartbeats stop with the last client, and so does
+   the suspicion sweep. *)
+let test_net_churn_fault_free_no_suspicion () =
+  List.iter
+    (fun sessions ->
+      let s =
+        Net_churn.run
+          (Net_churn.make_config ~sessions_target:sessions ~faults:Transport.perfect ())
+          ~seed:0x5EEDL
+      in
+      check Alcotest.int (Printf.sprintf "suspicions at %d sessions" sessions) 0
+        s.Net_churn.detector.Router.suspicions;
+      check Alcotest.int (Printf.sprintf "recoveries at %d sessions" sessions) 0
+        s.Net_churn.detector.Router.recoveries)
+    [ 200; 2_000 ]
+
+(* ------------------------------------------------------------------ *)
+(* The campaign: deterministic JSON, and every gate names its failure. *)
+
+let tiny_campaign backend =
+  Net_campaign.run (Net_campaign.default_spec ~sessions_per_cell:60 ~seeds:[| 3L |] backend)
+
+let test_campaign_json_deterministic () =
+  List.iter
+    (fun (name, backend) ->
+      let a = Net_campaign.to_json (tiny_campaign backend) in
+      let b = Net_campaign.to_json (tiny_campaign backend) in
+      check Alcotest.string (name ^ ": same seed, byte-identical JSON") a b)
+    Net_campaign.backends
+
+let gate_totals = function
+  | Net_campaign.Never (t, _) | Net_campaign.Fires (t, _) -> [ t ]
+  | Net_campaign.Equal (a, b, _) -> [ a; b ]
+
+let test_campaign_gates_name_failures () =
+  List.iter
+    (fun (name, backend) ->
+      let gates = Net_campaign.gates backend in
+      let real = tiny_campaign backend in
+      List.iter
+        (fun t ->
+          check Alcotest.bool (Printf.sprintf "%s: gate total %s exists" name t) true
+            (List.mem_assoc t real.Net_campaign.totals))
+        (List.concat_map gate_totals gates);
+      (* A summary that passes every gate... *)
+      let passing =
+        List.map
+          (fun (t, _) ->
+            let fires =
+              List.exists (function Net_campaign.Fires (t', _) -> t = t' | _ -> false) gates
+            in
+            (t, if fires then 1 else 0))
+          real.Net_campaign.totals
+      in
+      let doctored totals = { real with Net_campaign.totals } in
+      check Alcotest.(list string) (name ^ ": passing summary") []
+        (Net_campaign.failures (doctored passing));
+      (* ... and each gate, broken alone, reports exactly its own failure. *)
+      List.iter
+        (fun gate ->
+          let set t v totals = List.map (fun (t', x) -> if t = t' then (t', v) else (t', x)) totals in
+          let totals, expected =
+            match gate with
+            | Net_campaign.Never (t, what) -> (set t 2 passing, Printf.sprintf "2 %s" what)
+            | Net_campaign.Fires (t, what) -> (set t 0 passing, "no " ^ what)
+            | Net_campaign.Equal (a, b, what) ->
+              (set a 3 (set b 1 passing), Printf.sprintf "2 %s" what)
+          in
+          check Alcotest.(list string) (name ^ ": " ^ expected) [ expected ]
+            (Net_campaign.failures (doctored totals)))
+        gates)
+    Net_campaign.backends;
+  let floors backend =
+    List.length
+      (List.filter (function Net_campaign.Fires _ -> true | _ -> false) (Net_campaign.gates backend))
+  in
+  check Alcotest.int "service floors: reclaims, sheds" 2 (floors Net_campaign.Service);
+  check Alcotest.int "sharded floors: handoffs, mid-transit, adoptions, crashes" 4
+    (floors Net_campaign.Sharded);
+  check Alcotest.int "net floors: every fault channel" 15 (floors Net_campaign.Net)
+
 (* ------------------------------------------------------------------ *)
 (* Admission deadline expiry is a first-class observable.             *)
 
@@ -1065,6 +1157,12 @@ let tests =
         Alcotest.test_case "net churn: deterministic" `Quick test_net_churn_deterministic;
         Alcotest.test_case "net churn: config validation" `Quick
           test_net_churn_config_validation;
+        Alcotest.test_case "net churn: fault-free run has no suspicions" `Quick
+          test_net_churn_fault_free_no_suspicion;
+        Alcotest.test_case "campaign: same seed, byte-identical JSON" `Quick
+          test_campaign_json_deterministic;
+        Alcotest.test_case "campaign: every gate reports its named failure" `Quick
+          test_campaign_gates_name_failures;
         Alcotest.test_case "service: deadline-expiry metric" `Quick
           test_service_deadline_expired_metric;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
