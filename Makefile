@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
+.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke perf-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
 
 all: build test
 
@@ -68,6 +68,21 @@ chaos-net:
 # CI-sized slice of the same campaign (all four cells, fewer sessions).
 chaos-net-smoke:
 	dune exec bin/main.exe -- chaos --backend net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
+
+# The deterministic allocation gate: one 5-second run of the benchmark's
+# net-faulty workload (seed 1), failing unless the run is correct and
+# allocates at most 3000 words per session.  Allocated words per session
+# repeat exactly for a seed, so unlike wall-clock throughput the bound
+# holds on any machine.  Reads only the benchmark's result line.
+PERF_SMOKE_MAX_WORDS = 3000
+
+perf-smoke:
+	python3 perfbench/run.py --workload net-faulty --seed 1 --seconds 5 --trace 0 \
+	  | python3 -c 'import json, sys; \
+	    r = json.loads(sys.stdin.read().strip().splitlines()[-1]); \
+	    w = r["metrics"]["alloc_words_per_op"]["value"]; \
+	    print("perf-smoke: correct=%s alloc_words_per_op=%.1f (bound %d)" % (r["correct"], w, $(PERF_SMOKE_MAX_WORDS))); \
+	    sys.exit(0 if r["correct"] and w <= $(PERF_SMOKE_MAX_WORDS) else 1)'
 
 # Bounded model checking: exhaustively explore every schedule of the
 # small roster instances with source-DPOR (wakeup trees over the audited

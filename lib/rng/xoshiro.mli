@@ -16,8 +16,14 @@ val copy : t -> t
 (** [next t] returns the next 64-bit output. *)
 val next : t -> int64
 
-(** [next_int63 t] is uniform on [0, 2^62). *)
+(** [next_int63 t] is uniform on [0, 2^62): the top 62 bits of
+    [next t].  Allocates nothing. *)
 val next_int63 : t -> int
+
+(** [next_bits53 t] is the top 53 bits of [next t], uniform on
+    [0, 2^53) — the mantissa draw behind {!Sample.float_unit}.
+    Allocates nothing. *)
+val next_bits53 : t -> int
 
 (** [jump t] advances [t] by 2^128 steps in place; used to carve
     non-overlapping streams out of one seed. *)

@@ -50,19 +50,31 @@ let push t ~time value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+let min_time t = if t.size = 0 then infinity else t.data.(0).e_time
+
+let stamp t = t.next_seq
+
+let due t ~now ~before =
+  t.size > 0
+  &&
+  let top = t.data.(0) in
+  top.e_time <= now && top.e_seq < before
+
+let take t =
+  if t.size = 0 then invalid_arg "Heap.take: empty heap";
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  top.e_value
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some (top.e_time, top.e_value)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.data.(0).e_time
+  else
+    let time = t.data.(0).e_time in
+    Some (time, take t)
 
 let size t = t.size
 

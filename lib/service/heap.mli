@@ -14,7 +14,22 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Smallest [(time, seq)] first; [None] when empty. *)
 
-val peek_time : 'a t -> float option
+val min_time : 'a t -> float
+(** The smallest [time] in the heap; [infinity] when empty. *)
+
+val stamp : 'a t -> int
+(** The sequence number the next {!push} will receive: every entry
+    already in the heap has a smaller one. *)
+
+val due : 'a t -> now:float -> before:int -> bool
+(** Whether the smallest entry has [time <= now] and was pushed before
+    stamp [before].  [due t ~now ~before:(stamp t)] asks whether
+    anything is due at all; a stamp taken earlier excludes what was
+    pushed since.  Allocates nothing. *)
+
+val take : 'a t -> 'a
+(** Remove the smallest entry and return its value, without the option
+    and pair {!pop} allocates.  Raises [Invalid_argument] when empty. *)
 
 val size : 'a t -> int
 

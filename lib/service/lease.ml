@@ -126,34 +126,24 @@ let release t ~fence ~now =
 
 type reclaimed = { r_fence : fence; r_expired_at : float; r_lateness : float }
 
+let expiry_due t ~now = Heap.due t.expiry_queue ~now ~before:(Heap.stamp t.expiry_queue)
+
 let reclaim_expired t ~now =
-  let rec drain acc =
-    match Heap.peek_time t.expiry_queue with
-    | Some time when time <= now -> (
-      match Heap.pop t.expiry_queue with
-      | None -> List.rev acc
-      | Some (_, (name, epoch)) ->
-        if t.epochs.(name) <> epoch || t.holders.(name) < 0 then
-          (* Stale entry: the lease was renewed, released, or already
-             reclaimed since this heap entry was pushed. *)
-          drain acc
-        else if t.expiries.(name) > now then
-          (* Renewed to a later expiry under the same epoch — the newer
-             heap entry will cover it. *)
-          drain acc
-        else begin
-          let expired_at = t.expiries.(name) in
-          let fence = { f_name = name; f_session = t.holders.(name); f_epoch = epoch } in
-          free_slot t ~name;
-          drain
-            ({ r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at }
-            :: acc)
-        end)
-    | _ -> List.rev acc
-  in
-  let reclaimed = drain [] in
+  let acc = ref [] in
+  while expiry_due t ~now do
+    let name, epoch = Heap.take t.expiry_queue in
+    (* A stale entry (the lease was renewed, released, or already
+       reclaimed since it was pushed) or one renewed to a later expiry
+       under the same epoch (the newer entry covers it) is skipped. *)
+    if t.epochs.(name) = epoch && t.holders.(name) >= 0 && t.expiries.(name) <= now then begin
+      let expired_at = t.expiries.(name) in
+      let fence = { f_name = name; f_session = t.holders.(name); f_epoch = epoch } in
+      free_slot t ~name;
+      acc := { r_fence = fence; r_expired_at = expired_at; r_lateness = now -. expired_at } :: !acc
+    end
+  done;
   maybe_compact t;
-  reclaimed
+  List.rev !acc
 
 let holder t ~name =
   if name < 0 || name >= t.n_slots then None

@@ -69,6 +69,18 @@ val reclaim_expired : t -> now:float -> reclaimed list
     leases are skipped (their heap entries are stale — lazy deletion);
     reclaimed slots get an epoch bump and return to the free pool. *)
 
+val expiry_due : t -> now:float -> bool
+(** Whether the expiry heap holds an entry due at [now] — the test
+    {!reclaim_expired} loops on.  A due entry may be stale (lazy
+    deletion), so [true] does not promise a reclaim.  Allocates
+    nothing. *)
+
+val maybe_compact : t -> unit
+(** Compact the expiry heap if dead entries dominate it, exactly as
+    {!reclaim_expired} does after reclaiming: callers that skip the
+    reclaim because nothing is due still call this, so the heap bound
+    holds on every path. *)
+
 val holder : t -> name:int -> int option
 (** Session currently holding [name], if any (for auditing). *)
 

@@ -290,7 +290,14 @@ let run ?obs ?tap (cfg : config) ~seed =
   let dedup_retired =
     { Dedup.fresh = 0; replays = 0; stale = 0; evictions = 0 }
   in
+  (* Per slice: ticket -> (client, rid seq), for turning queue
+     completions back into replies to the rid that enqueued.  Tickets
+     are the slice body's own, so the table goes with the body. *)
+  let waiting : (int, int * int) Hashtbl.t array =
+    Array.init n_slices (fun _ -> Hashtbl.create 16)
+  in
   let retire_dedup slice =
+    Hashtbl.reset waiting.(slice);
     let s = Dedup.stats dedup.(slice) in
     dedup_retired.Dedup.fresh <- dedup_retired.Dedup.fresh + s.Dedup.fresh;
     dedup_retired.Dedup.replays <- dedup_retired.Dedup.replays + s.Dedup.replays;
@@ -361,9 +368,6 @@ let run ?obs ?tap (cfg : config) ~seed =
   let stall_rr = ref 0 in
   let handoff_rr = ref 0 in
   let ghost_next = ref cfg.clients in
-  (* (slice, ticket) -> (client, rid seq), for turning queue completions
-     back into replies to the rid that enqueued. *)
-  let waiting = ref [] in
   let jitter ~around = around *. (0.5 +. Sample.float_unit rng) in
   (* Non-periodic events still in the heap: heartbeats outlive the
      workload until these drain, so the tail of the run (ghost replays,
@@ -508,13 +512,12 @@ let run ?obs ?tap (cfg : config) ~seed =
           (Router.in_transit router)
       in
       (* Every body resident here — owned, or in transit from here — dies
-         with its leases and its dedup table; pending tickets on the lost
-         slices can never complete. *)
+         with its leases, its dedup table and its pending tickets, which
+         can never complete. *)
       for slice = 0 to n_slices - 1 do
         if Router.owner router ~slice = Some shard || List.mem slice leaving then begin
           disruption.(slice) <- disruption.(slice) + 1;
-          retire_dedup slice;
-          waiting := List.filter (fun ((s, _), _) -> s <> slice) !waiting
+          retire_dedup slice
         end
       done;
       Shard.crash sh ~now:!sim_now;
@@ -606,7 +609,7 @@ let run ?obs ?tap (cfg : config) ~seed =
             fence = { Router.gf_slice = slice; gf_fence = grant.Lease.g_fence };
           }
       | Service.Queued ticket ->
-        waiting := ((slice, ticket), (req.rq_client, req.rq_seq)) :: !waiting;
+        Hashtbl.replace waiting.(slice) ticket (req.rq_client, req.rq_seq);
         B_queued
       | Service.Shed _ -> B_shed)
     | Op_renew gf -> (
@@ -763,7 +766,7 @@ let run ?obs ?tap (cfg : config) ~seed =
     end
   in
 
-  let handle_msg (_src, dst, m) =
+  let handle_msg _src dst m =
     incr n_events;
     match (dst : Transport.addr) with
     | Transport.Router -> on_router m
@@ -777,46 +780,43 @@ let run ?obs ?tap (cfg : config) ~seed =
   (* Queue completions surface at the owning shard: record the final
      outcome over the provisional B_queued (so later retransmits replay
      it) and push a reply to the rid's client. *)
-  let handle_completions completions =
-    List.iter
-      (fun { Router.c_slice; c_shard; c_done } ->
-        let ticket, body =
-          match c_done with
-          | Service.Done { ticket; grant; _ } ->
-            ( ticket,
-              B_granted
-                {
-                  slice = c_slice;
-                  shard = c_shard;
-                  fence =
-                    { Router.gf_slice = c_slice; gf_fence = grant.Lease.g_fence };
-                } )
-          | Service.Timed_out { ticket; _ } -> (ticket, B_timeout)
-        in
-        let key = (c_slice, ticket) in
-        match List.assoc_opt key !waiting with
-        | Some (client, seq) ->
-          waiting := List.remove_assoc key !waiting;
-          (match c_done with
-          | Service.Done _ -> note_grant ~client ~seq ~slice:c_slice
-          | Service.Timed_out _ -> ());
-          Dedup.record dedup.(c_slice) ~client ~seq ~now:!sim_now body;
-          send ~src:(Transport.Shard c_shard) ~dst:(Transport.Client client)
-            (M_rep { rp_client = client; rp_seq = seq; rp_body = body })
-        | None -> (
-          (* The rid bookkeeping died with a crashed body: nobody will
-             ever claim this grant, so hand it back at once. *)
-          match c_done with
-          | Service.Done { grant; _ } ->
-            incr late_grants_released;
-            ignore
-              (Router.release router
-                 ~fence:{ Router.gf_slice = c_slice; gf_fence = grant.Lease.g_fence })
-          | Service.Timed_out _ -> ()))
-      completions
+  let handle_completion { Router.c_slice; c_shard; c_done } =
+    let ticket, body =
+      match c_done with
+      | Service.Done { ticket; grant; _ } ->
+        ( ticket,
+          B_granted
+            {
+              slice = c_slice;
+              shard = c_shard;
+              fence =
+                { Router.gf_slice = c_slice; gf_fence = grant.Lease.g_fence };
+            } )
+      | Service.Timed_out { ticket; _ } -> (ticket, B_timeout)
+    in
+    let pending = waiting.(c_slice) in
+    match Hashtbl.find_opt pending ticket with
+    | Some (client, seq) ->
+      Hashtbl.remove pending ticket;
+      (match c_done with
+      | Service.Done _ -> note_grant ~client ~seq ~slice:c_slice
+      | Service.Timed_out _ -> ());
+      Dedup.record dedup.(c_slice) ~client ~seq ~now:!sim_now body;
+      send ~src:(Transport.Shard c_shard) ~dst:(Transport.Client client)
+        (M_rep { rp_client = client; rp_seq = seq; rp_body = body })
+    | None -> (
+      (* The rid bookkeeping died with a crashed body: nobody will
+         ever claim this grant, so hand it back at once. *)
+      match c_done with
+      | Service.Done { grant; _ } ->
+        incr late_grants_released;
+        ignore
+          (Router.release router
+             ~fence:{ Router.gf_slice = c_slice; gf_fence = grant.Lease.g_fence })
+      | Service.Timed_out _ -> ())
   in
 
-  let pump () = handle_completions (Router.pump router) in
+  let pump () = List.iter handle_completion (Router.pump router) in
 
   let crash_holding idx =
     let c = clients.(idx) in
@@ -1086,29 +1086,25 @@ let run ?obs ?tap (cfg : config) ~seed =
          continue_ := false
        end
        else begin
-         let t_heap = Heap.peek_time heap in
-         let t_net = Transport.next_delivery net in
-         match (t_heap, t_net) with
-         | None, None -> continue_ := false
-         | _ ->
-           let th = Option.value t_heap ~default:infinity in
-           let tn = Option.value t_net ~default:infinity in
+         let th = Heap.min_time heap in
+         let tn = Transport.next_delivery net in
+         if Heap.is_empty heap && Transport.in_flight net = 0 then continue_ := false
+         else begin
            if tn <= th then begin
              sim_now := max !sim_now tn;
              pump ();
-             List.iter handle_msg (Transport.deliver net ~now:!sim_now)
+             Transport.deliver_each net ~now:!sim_now handle_msg
            end
            else begin
-             match Heap.pop heap with
-             | None -> ()
-             | Some (time, ev) ->
-               incr n_events;
-               if not (periodic ev) then decr pending;
-               sim_now := max !sim_now time;
-               pump ();
-               handle_event ev
+             let ev = Heap.take heap in
+             incr n_events;
+             if not (periodic ev) then decr pending;
+             sim_now := max !sim_now th;
+             pump ();
+             handle_event ev
            end;
            peak_held := max !peak_held (Router.total_held router)
+         end
        end
      done
    with Audit.Violation { kind; message } -> violation := Some (kind, message));

@@ -139,7 +139,12 @@ val pump : t -> completion list
     stalls and drop fenced bodies, progress/abort in-transit handoffs,
     orphan the slices of shards stalled past [grace], absorb orphans
     past [grace] into the least-loaded survivor, trigger auto
-    rebalancing, then reclaim/expire/grant on every reachable slice. *)
+    rebalancing, then reclaim/expire/grant on every reachable slice.
+
+    Built to run before every event of a churn driver: when nothing is
+    due — no suspicion, stall, transit or orphan to act on, no queued
+    request and no lease expiry — it costs O(slices + shards) and
+    allocates nothing. *)
 
 (** {2 Fault injection} *)
 

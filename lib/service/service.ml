@@ -136,14 +136,18 @@ let ttl t = t.cfg.lease.Lease.ttl
    auditor always sees reclaims before any operation at the same
    instant could observe the freed slot. *)
 let reclaim t ~now =
-  List.iter
-    (fun (r : Lease.reclaimed) ->
-      observe t ~now
-        (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
-      t.st.reclaims <- t.st.reclaims + 1;
-      bump t (fun c -> c.c_reclaims);
-      Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
-    (Lease.reclaim_expired t.lease ~now)
+  (* Without a due expiry only the compaction check is left, and it
+     must still run: it bounds the heap whatever the call pattern. *)
+  if not (Lease.expiry_due t.lease ~now) then Lease.maybe_compact t.lease
+  else
+    List.iter
+      (fun (r : Lease.reclaimed) ->
+        observe t ~now
+          (Audit.Reclaimed { fence = r.Lease.r_fence; expired_at = r.Lease.r_expired_at });
+        t.st.reclaims <- t.st.reclaims + 1;
+        bump t (fun c -> c.c_reclaims);
+        Hist.observe t.h_reclaim (centiticks r.Lease.r_lateness))
+      (Lease.reclaim_expired t.lease ~now)
 
 (* Callers must ensure [held < capacity]; the lease table then cannot
    refuse (the probe cap falls back to a sweep over a non-full table). *)
@@ -234,35 +238,41 @@ type completion =
   | Done of { ticket : int; session : int; grant : Lease.grant; waited : float }
   | Timed_out of { ticket : int; session : int; waited : float }
 
+(* With the admission queue empty, expiry and the grant loop have
+   nothing to take, so an idle pump is [reclaim]'s due-test and
+   compaction check alone. *)
 let pump t =
   let now = Clock.now t.clock in
   reclaim t ~now;
-  let timed_out =
-    List.map
-      (fun (x : Admission.expired) ->
-        t.st.expired_requests <- t.st.expired_requests + 1;
-        bump t (fun c -> c.c_expired);
-        bump t (fun c -> c.c_deadline);
-        Hist.observe t.h_wait (centiticks x.Admission.x_waited);
-        Timed_out
-          {
-            ticket = x.Admission.x_ticket;
-            session = x.Admission.x_session;
-            waited = x.Admission.x_waited;
-          })
-      (Admission.expire t.admission ~now)
-  in
-  let rec drain acc =
-    if Lease.held t.lease >= capacity t then List.rev acc
-    else
-      match Admission.take t.admission ~now with
-      | None -> List.rev acc
-      | Some (ticket, session, waited) ->
-        let grant = do_grant t ~session ~now in
-        Hist.observe t.h_wait (centiticks waited);
-        drain (Done { ticket; session; grant; waited } :: acc)
-  in
-  timed_out @ drain []
+  if Admission.depth t.admission = 0 then []
+  else begin
+    let timed_out =
+      List.map
+        (fun (x : Admission.expired) ->
+          t.st.expired_requests <- t.st.expired_requests + 1;
+          bump t (fun c -> c.c_expired);
+          bump t (fun c -> c.c_deadline);
+          Hist.observe t.h_wait (centiticks x.Admission.x_waited);
+          Timed_out
+            {
+              ticket = x.Admission.x_ticket;
+              session = x.Admission.x_session;
+              waited = x.Admission.x_waited;
+            })
+        (Admission.expire t.admission ~now)
+    in
+    let rec drain acc =
+      if Lease.held t.lease >= capacity t then List.rev acc
+      else
+        match Admission.take t.admission ~now with
+        | None -> List.rev acc
+        | Some (ticket, session, waited) ->
+          let grant = do_grant t ~session ~now in
+          Hist.observe t.h_wait (centiticks waited);
+          drain (Done { ticket; session; grant; waited } :: acc)
+    in
+    timed_out @ drain []
+  end
 
 let stats t = t.st
 let held t = Lease.held t.lease

@@ -10,9 +10,11 @@
     the service never reads the wall clock — so simulated runs are
     deterministic and tests drive expiry by hand.
 
-    Call {!pump} periodically (the churn driver does so at every event):
-    it reclaims expired leases, expires overdue queued requests, and
-    grants to the head of the queue while capacity allows. *)
+    Call {!pump} periodically: it reclaims expired leases, expires
+    overdue queued requests, and grants to the head of the queue while
+    capacity allows.  It may be called as often as wanted — the churn
+    driver calls it, through {!Router.pump}, before every event — since
+    a pump with nothing to do costs a constant and allocates nothing. *)
 
 type config = { lease : Lease.config; admission : Admission.config }
 
@@ -89,7 +91,9 @@ type completion =
 
 val pump : t -> completion list
 (** Reclaim expired leases, expire overdue queued requests, then grant
-    from the queue head while capacity allows. *)
+    from the queue head while capacity allows.  When the admission
+    queue is empty and no lease expiry is due, it returns [[]] after
+    only the expiry heap's compaction check, allocating nothing. *)
 
 (** {2 Introspection} *)
 

@@ -32,10 +32,24 @@ let status t ~now =
     Alive
   | s -> s
 
-let alive t ~now = status t ~now = Alive
+let alive t ~now = match status t ~now with Alive -> true | Stalled _ | Crashed _ -> false
 
-let find_slice t ~slice =
-  List.find_opt (fun sl -> sl.sl_id = slice) t.slices
+let rec find_in slices ~slice =
+  match slices with
+  | [] -> None
+  | sl :: rest -> if sl.sl_id = slice then Some sl else find_in rest ~slice
+
+let find_slice t ~slice = find_in t.slices ~slice
+
+let rec pump_in slices ~slice ~epoch =
+  match slices with
+  | [] -> []
+  | sl :: rest ->
+    if sl.sl_id <> slice then pump_in rest ~slice ~epoch
+    else if sl.sl_epoch = epoch then Service.pump sl.sl_svc
+    else []
+
+let pump_slice t ~slice ~epoch = pump_in t.slices ~slice ~epoch
 
 let attach t sl =
   t.slices <- List.sort (fun a b -> compare a.sl_id b.sl_id) (sl :: t.slices)
@@ -74,7 +88,3 @@ let held t = List.fold_left (fun acc sl -> acc + Service.held sl.sl_svc) 0 t.sli
 
 let capacity t =
   List.fold_left (fun acc sl -> acc + Service.slots sl.sl_svc) 0 t.slices
-
-let utilization t ~slice_capacity =
-  let cap = List.length t.slices * slice_capacity in
-  if cap = 0 then 1.0 else float_of_int (held t) /. float_of_int cap

@@ -62,15 +62,27 @@ let create ?(faults = perfect) ~rng () =
 
 let max_delay t = t.faults.delay_max +. t.faults.reorder_extra
 
-let partition t ~src ~dst ~until =
-  t.partitions <-
-    (src, dst, until) :: List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) t.partitions
+let addr_equal a b =
+  match (a, b) with
+  | Client x, Client y | Shard x, Shard y -> x = y
+  | Router, Router -> true
+  | (Client _ | Router | Shard _), _ -> false
 
-let heal t ~src ~dst =
-  t.partitions <- List.filter (fun (s, d, _) -> (s, d) <> (src, dst)) t.partitions
+let other_rules t ~src ~dst =
+  List.filter (fun (s, d, _) -> not (addr_equal s src && addr_equal d dst)) t.partitions
 
-let partitioned t ~now ~src ~dst =
-  List.exists (fun (s, d, until) -> s = src && d = dst && now < until) t.partitions
+let partition t ~src ~dst ~until = t.partitions <- (src, dst, until) :: other_rules t ~src ~dst
+
+let heal t ~src ~dst = t.partitions <- other_rules t ~src ~dst
+
+(* Checked on every send, so a loop rather than a [List.exists] closure. *)
+let rec blocked rules ~now ~src ~dst =
+  match rules with
+  | [] -> false
+  | (s, d, until) :: rest ->
+    (addr_equal s src && addr_equal d dst && now < until) || blocked rest ~now ~src ~dst
+
+let partitioned t ~now ~src ~dst = blocked t.partitions ~now ~src ~dst
 
 let sample_delay t =
   let f = t.faults in
@@ -95,20 +107,24 @@ let send t ~now ~src ~dst payload =
     end
   end
 
-let next_delivery t = Heap.peek_time t.flight
+let next_delivery t = Heap.min_time t.flight
+
+(* The batch bound is the heap stamp at entry: a message [f] sends is
+   never delivered by the same call, even at zero delay, so a call
+   delivers exactly the batch that was due when it started, whatever
+   its handlers send. *)
+let deliver_each t ~now f =
+  let before = Heap.stamp t.flight in
+  while Heap.due t.flight ~now ~before do
+    let m = Heap.take t.flight in
+    t.st.delivered <- t.st.delivered + 1;
+    f m.m_src m.m_dst m.m_payload
+  done
 
 let deliver t ~now =
-  let rec drain acc =
-    match Heap.peek_time t.flight with
-    | Some time when time <= now -> (
-      match Heap.pop t.flight with
-      | Some (_, m) ->
-        t.st.delivered <- t.st.delivered + 1;
-        drain ((m.m_src, m.m_dst, m.m_payload) :: acc)
-      | None -> List.rev acc)
-    | _ -> List.rev acc
-  in
-  drain []
+  let acc = ref [] in
+  deliver_each t ~now (fun src dst payload -> acc := (src, dst, payload) :: !acc);
+  List.rev !acc
 
 let in_flight t = Heap.size t.flight
 let stats t = t.st

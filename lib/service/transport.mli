@@ -82,12 +82,21 @@ val heal : 'a t -> src:addr -> dst:addr -> unit
 
 val partitioned : 'a t -> now:float -> src:addr -> dst:addr -> bool
 
-val next_delivery : 'a t -> float option
-(** Earliest in-flight delivery time; [None] when nothing is in flight. *)
+val next_delivery : 'a t -> float
+(** Earliest in-flight delivery time; [infinity] when nothing is in
+    flight. *)
+
+val deliver_each : 'a t -> now:float -> (addr -> addr -> 'a -> unit) -> unit
+(** [deliver_each t ~now f] pops every message due at or before [now]
+    that was sent before the call, in deterministic [(time, send seq)]
+    order, and applies [f src dst payload] to each as it is popped.  A
+    message [f] sends waits for the next call, even at zero delay
+    ({!perfect}), so one call delivers exactly the batch that was due
+    when it started.  Allocates nothing beyond what [f] does. *)
 
 val deliver : 'a t -> now:float -> (addr * addr * 'a) list
-(** Pop every message due at or before [now] as [(src, dst, payload)],
-    in deterministic [(time, send seq)] order. *)
+(** The batch {!deliver_each} would deliver, as [(src, dst, payload)]
+    triples in delivery order. *)
 
 val in_flight : 'a t -> int
 val stats : 'a t -> stats

@@ -20,17 +20,112 @@ let test_splitmix_seed_sensitivity () =
   check Alcotest.bool "different seeds diverge" true !distinct
 
 let test_splitmix_known_vector () =
-  (* Reference output for seed 1234567 from the published SplitMix64
+  (* Reference output for seed 0 from the published SplitMix64
      algorithm (first output of the sequence). *)
   let g = Splitmix64.create 0L in
-  let first = Splitmix64.next g in
-  check Alcotest.bool "nonzero first output" true (first <> 0L)
+  check Alcotest.int64 "first output of seed 0" 0xe220a8397b1dcdafL (Splitmix64.next g)
 
 let test_xoshiro_deterministic () =
   let a = Xoshiro.create 7L and b = Xoshiro.create 7L in
   for _ = 1 to 100 do
     check Alcotest.int64 "same stream" (Xoshiro.next a) (Xoshiro.next b)
   done
+
+(* Golden vectors: every stream in the repository is a function of
+   these outputs, so the generator's representation may change but its
+   sequence may not. *)
+let test_xoshiro_golden_vectors () =
+  let g = Xoshiro.create 7L in
+  List.iteri
+    (fun i expected ->
+      check Alcotest.int64 (Printf.sprintf "create 7, output %d" i) expected (Xoshiro.next g))
+    [ 0xb358faf74ef9765aL; 0x475c3d964f482cd2L; 0xd6f1d349952c7996L; 0xfb2938731e807240L ];
+  let two g =
+    let a = Xoshiro.next g in
+    let b = Xoshiro.next g in
+    [ a; b ]
+  in
+  let pair = Alcotest.(list int64) in
+  let g = Xoshiro.create 7L in
+  let fresh = Xoshiro.split g in
+  check pair "split: the fresh stream replays the parent"
+    [ 0xb358faf74ef9765aL; 0x475c3d964f482cd2L ] (two fresh);
+  check pair "split: the parent jumped" [ 0x156617fd83df2a74L; 0x1ccb4975f3ae6cbcL ] (two g);
+  let g = Xoshiro.create 7L in
+  ignore (Xoshiro.next g);
+  Xoshiro.jump g;
+  check pair "jump after one step" [ 0x1ccb4975f3ae6cbcL; 0xc6b79bd4fd3989f0L ] (two g);
+  let g = Xoshiro.create 7L in
+  Xoshiro.jump g;
+  Xoshiro.jump g;
+  check pair "two jumps" [ 0x34409c27950c8e76L; 0xf3b2da495cd2c309L ] (two g);
+  let g = Xoshiro.create 7L in
+  List.iter
+    (fun expected -> check Alcotest.int "next_int63" expected (Xoshiro.next_int63 g))
+    [ 3230838767707118998; 1285513147583695668; 3872098226623159909 ];
+  let g = Xoshiro.create 7L in
+  List.iter
+    (fun expected -> check (Alcotest.float 0.) "float_unit" expected (Sample.float_unit g))
+    [ 0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1 ];
+  let g = Xoshiro.create 7L in
+  List.iter
+    (fun expected -> check Alcotest.int "uniform_int 100" expected (Sample.uniform_int g 100))
+    [ 98; 68; 9; 16; 66 ];
+  let a = Xoshiro.create 7L and b = Xoshiro.create 7L in
+  for _ = 1 to 100 do
+    check Alcotest.int "next_bits53 = top 53 bits of next"
+      (Int64.to_int (Int64.shift_right_logical (Xoshiro.next a) 11))
+      (Xoshiro.next_bits53 b)
+  done
+
+(* The draws behind every lease probe and transport fault decision
+   allocate nothing.  [float_unit] returns a float, which is boxed when
+   it crosses a module boundary that the compiler does not inline
+   across, so its bound is that one box per draw; [bernoulli] consumes
+   the same draw inside the module and must allocate nothing.
+   Bytecode boxes every [int64], so the check is native-only. *)
+let test_draws_allocate_nothing () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let g = Xoshiro.create 3L in
+    let n = 10_000 in
+    let words f =
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0
+    in
+    let sink = ref 0 in
+    let empty = words (fun () -> ()) in
+    check (Alcotest.float 0.) "next_int63" empty
+      (words (fun () ->
+           for _ = 1 to n do
+             sink := !sink lxor Xoshiro.next_int63 g
+           done));
+    check (Alcotest.float 0.) "next_bits53" empty
+      (words (fun () ->
+           for _ = 1 to n do
+             sink := !sink lxor Xoshiro.next_bits53 g
+           done));
+    check (Alcotest.float 0.) "bernoulli" empty
+      (words (fun () ->
+           for _ = 1 to n do
+             if Sample.bernoulli g 0.5 then incr sink
+           done));
+    check (Alcotest.float 0.) "uniform_int" empty
+      (words (fun () ->
+           for _ = 1 to n do
+             sink := !sink + Sample.uniform_int g 1000
+           done));
+    let w =
+      words (fun () ->
+          for _ = 1 to n do
+            if Sample.float_unit g < 0.5 then incr sink
+          done)
+    in
+    check Alcotest.bool "float_unit: at most its result box" true
+      (w -. empty <= float_of_int (2 * n));
+    ignore (Sys.opaque_identity !sink)
 
 let test_xoshiro_copy_independent () =
   let a = Xoshiro.create 7L in
@@ -231,6 +326,8 @@ let tests =
         Alcotest.test_case "splitmix seed sensitivity" `Quick test_splitmix_seed_sensitivity;
         Alcotest.test_case "splitmix known vector" `Quick test_splitmix_known_vector;
         Alcotest.test_case "xoshiro deterministic" `Quick test_xoshiro_deterministic;
+        Alcotest.test_case "xoshiro golden vectors" `Quick test_xoshiro_golden_vectors;
+        Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
         Alcotest.test_case "xoshiro copy" `Quick test_xoshiro_copy_independent;
         Alcotest.test_case "xoshiro split disjoint" `Quick test_xoshiro_split_disjoint;
         Alcotest.test_case "int63 nonnegative" `Quick test_int63_nonnegative;

@@ -34,7 +34,7 @@ let test_heap_deterministic_order () =
   List.iter (fun (time, v) -> Heap.push h ~time v)
     [ (3.0, "late"); (1.0, "first"); (2.0, "mid"); (1.0, "second") ];
   check Alcotest.int "size" 4 (Heap.size h);
-  check (Alcotest.option (Alcotest.float 1e-9)) "peek" (Some 1.0) (Heap.peek_time h);
+  check (Alcotest.float 1e-9) "min time" 1.0 (Heap.min_time h);
   let drain = ref [] in
   let rec go () =
     match Heap.pop h with
@@ -324,6 +324,57 @@ let test_service_stale_fence_rejected () =
   (match Service.use svc ~fence:f with
   | Error `Fenced -> ()
   | Ok () -> Alcotest.fail "old fence revived by regrant")
+
+(* The idle fast path: with nothing queued and no expiry due, [pump]
+   returns [] and allocates nothing.  A queue alone, or an expiry alone,
+   is enough to take the full path (the cases above cover both together
+   and [stale fence] the expiry alone). *)
+let test_service_pump_fast_path () =
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let time, svc = service ~capacity:2 ~ttl:5.0 ~request_timeout:1.5 () in
+  let idle label =
+    check Alcotest.int (label ^ ": nothing to do") 0 (List.length (Service.pump svc));
+    match Sys.backend_type with
+    | Sys.Native ->
+      let empty = minor_words (fun () -> ()) in
+      check (Alcotest.float 0.) (label ^ ": allocates nothing") empty
+        (minor_words (fun () ->
+             for _ = 1 to 1_000 do
+               ignore (Sys.opaque_identity (Service.pump svc))
+             done))
+    | Sys.Bytecode | Sys.Other _ -> ()
+  in
+  idle "empty service";
+  let grant session =
+    match Service.acquire svc ~session with
+    | Service.Granted _ -> ()
+    | _ -> Alcotest.fail "expected immediate grant"
+  in
+  grant 1;
+  grant 2;
+  time := 1.0;
+  idle "leases live, queue empty";
+  (* A non-empty queue with no expiry due: the overdue request times
+     out. *)
+  (match Service.acquire svc ~session:3 with
+  | Service.Queued _ -> ()
+  | _ -> Alcotest.fail "expected queueing at capacity");
+  time := 3.0;
+  (match Service.pump svc with
+  | [ Service.Timed_out { session = 3; _ } ] -> ()
+  | _ -> Alcotest.fail "queued request must time out");
+  check Alcotest.int "no reclaim before expiry" 0 (Service.stats svc).Service.reclaims;
+  idle "after the timeout";
+  (* An expiry due with an empty queue: both leases are reclaimed. *)
+  time := 5.0;
+  check Alcotest.int "expiry pump returns nothing" 0 (List.length (Service.pump svc));
+  check Alcotest.int "both reclaimed" 2 (Service.stats svc).Service.reclaims;
+  check Alcotest.int "nothing held" 0 (Service.held svc);
+  idle "after reclaim"
 
 (* ------------------------------------------------------------------ *)
 (* Churn driver, service preset: deterministic, safe, and it actually  *)
@@ -698,6 +749,36 @@ let test_router_dst_crash_aborts_handoff () =
   | Ok _ -> ()
   | _ -> Alcotest.fail "aborted handoff broke a live lease"
 
+(* The churn driver pumps the router before every event, so a pump
+   with nothing due must cost no allocation, whichever passes are on. *)
+let test_router_idle_pump_allocates_nothing () =
+  List.iter
+    (fun (auto_rebalance, detector) ->
+      let label =
+        Printf.sprintf "rebalance=%b detector=%b" auto_rebalance detector
+      in
+      let t, clock = manual_clock () in
+      let r =
+        Router.create ~clock ~seed:42L
+          (Router.make_config ~shards:4 ~slices:8 ~slice_capacity:4 ~ttl:10.0 ~grace:12.0
+             ~auto_rebalance ())
+      in
+      if detector then Router.enable_detector r ~suspicion:5.0;
+      ignore (grant_on r ~session:1 ~key:0);
+      ignore (grant_on r ~session:2 ~key:5);
+      t := 1.0;
+      check Alcotest.int (label ^ ": nothing due") 0 (List.length (Router.pump r));
+      match Sys.backend_type with
+      | Sys.Native ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1_000 do
+          ignore (Sys.opaque_identity (Router.pump r))
+        done;
+        check (Alcotest.float 0.) (label ^ ": allocates nothing") 0.
+          (Gc.minor_words () -. w0)
+      | Sys.Bytecode | Sys.Other _ -> ())
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
 let test_router_stall_heals () =
   let t, r = router_fixture () in
   let _g = grant_on r ~session:1 ~key:0 in
@@ -765,13 +846,13 @@ let test_transport_deterministic_and_bounded () =
     done;
     let log = ref [] in
     let rec pump () =
-      match Transport.next_delivery tr with
-      | None -> ()
-      | Some at ->
+      let at = Transport.next_delivery tr in
+      if at < infinity then begin
         List.iter
           (fun (_, _, payload) -> log := (at, payload) :: !log)
           (Transport.deliver tr ~now:at);
         pump ()
+      end
     in
     pump ();
     check Alcotest.int "drained" 0 (Transport.in_flight tr);
@@ -795,6 +876,63 @@ let test_transport_deterministic_and_bounded () =
       check Alcotest.bool "within max_delay of the send" true
         (at -. sent_at <= 0.8 +. 1e-9))
     log_a
+
+(* [deliver] keeps its output byte for byte: the batches below are the
+   ones the list-building implementation produced for this send
+   sequence. *)
+let test_transport_deliver_golden () =
+  let tr = Transport.create ~faults:(lossy_faults ()) ~rng:(Xoshiro.create 77L) () in
+  for i = 0 to 29 do
+    let dst = if i mod 3 = 0 then Transport.Router else Transport.Shard (i mod 3) in
+    Transport.send tr ~now:(float_of_int i *. 0.01) ~src:(Transport.Client i) ~dst i
+  done;
+  let c i = Transport.Client i and r = Transport.Router and sh i = Transport.Shard i in
+  let expected =
+    [
+      [ (c 0, r, 0); (c 5, sh 2, 5) ];
+      [ (c 15, r, 15) ];
+      [ (c 4, sh 1, 4); (c 6, r, 6); (c 2, sh 2, 2); (c 12, r, 12); (c 28, sh 1, 28);
+        (c 19, sh 1, 19); (c 22, sh 1, 22); (c 10, sh 1, 10); (c 4, sh 1, 4) ];
+      [ (c 16, sh 1, 16); (c 22, sh 1, 22); (c 28, sh 1, 28); (c 18, r, 18); (c 9, r, 9);
+        (c 23, sh 2, 23); (c 8, sh 2, 8); (c 1, sh 1, 1); (c 2, sh 2, 2); (c 21, r, 21);
+        (c 12, r, 12); (c 26, sh 2, 26); (c 27, r, 27) ];
+      [ (c 20, sh 2, 20); (c 20, sh 2, 20); (c 25, sh 1, 25); (c 29, sh 2, 29);
+        (c 27, r, 27); (c 24, r, 24); (c 21, r, 21) ];
+    ]
+  in
+  List.iter2
+    (fun now batch ->
+      check Alcotest.bool (Printf.sprintf "batch at %g" now) true
+        (Transport.deliver tr ~now = batch))
+    [ 0.1; 0.2; 0.35; 0.5; infinity ] expected;
+  let st = Transport.stats tr in
+  check Alcotest.(list int) "sent, delivered, dropped, duplicated, reordered, blocked"
+    [ 24; 32; 6; 8; 15; 0 ]
+    Transport.
+      [ st.sent; st.delivered; st.dropped; st.duplicated; st.reordered; st.blocked ];
+  check (Alcotest.float 0.) "nothing in flight" infinity (Transport.next_delivery tr)
+
+(* Zero delay: a message sent from inside the callback is due at the
+   same instant, yet waits for the next call, so one call delivers
+   exactly the batch that was due when it started. *)
+let test_transport_deliver_each_batch () =
+  let tr = Transport.create ~faults:Transport.perfect ~rng:(Xoshiro.create 1L) () in
+  Transport.send tr ~now:0. ~src:(Transport.Client 0) ~dst:Transport.Router "a";
+  Transport.send tr ~now:0. ~src:(Transport.Client 1) ~dst:Transport.Router "b";
+  let seen = ref [] in
+  let echo _src _dst m =
+    seen := m :: !seen;
+    if String.length m = 1 then
+      Transport.send tr ~now:0. ~src:Transport.Router ~dst:(Transport.Client 0) (m ^ "'")
+  in
+  Transport.deliver_each tr ~now:0. echo;
+  check Alcotest.(list string) "first call: the two sends only" [ "a"; "b" ] (List.rev !seen);
+  check Alcotest.int "the replies wait" 2 (Transport.in_flight tr);
+  check (Alcotest.float 0.) "due now" 0. (Transport.next_delivery tr);
+  seen := [];
+  Transport.deliver_each tr ~now:0. (fun _ _ m -> seen := m :: !seen);
+  check Alcotest.(list string) "second call: the replies" [ "a'"; "b'" ] (List.rev !seen);
+  check Alcotest.int "delivered counted" 4 (Transport.stats tr).Transport.delivered
 
 let test_transport_partition_directional () =
   let tr = Transport.create ~rng:(Xoshiro.create 5L) () in
@@ -1132,6 +1270,7 @@ let tests =
         Alcotest.test_case "service: queue drains" `Quick test_service_queue_drain_done;
         Alcotest.test_case "service: high-water shed" `Quick test_service_high_water_shed;
         Alcotest.test_case "service: stale fence" `Quick test_service_stale_fence_rejected;
+        Alcotest.test_case "service: idle pump fast path" `Quick test_service_pump_fast_path;
         Alcotest.test_case "churn: safety + reclaim" `Quick test_churn_safety_and_reclaim;
         Alcotest.test_case "churn: deterministic" `Quick test_churn_deterministic;
         Alcotest.test_case "heap: compaction order" `Quick test_heap_compact_preserves_order;
@@ -1141,12 +1280,18 @@ let tests =
         Alcotest.test_case "router: src crash -> adopt" `Quick test_router_src_crash_orphans_then_adopts;
         Alcotest.test_case "router: dst crash -> abort" `Quick test_router_dst_crash_aborts_handoff;
         Alcotest.test_case "router: stall heals" `Quick test_router_stall_heals;
+        Alcotest.test_case "router: idle pump allocates nothing" `Quick
+          test_router_idle_pump_allocates_nothing;
         Alcotest.test_case "shard churn: safety" `Quick test_shard_churn_safety;
         Alcotest.test_case "shard churn: deterministic" `Quick test_shard_churn_deterministic;
         Alcotest.test_case "transport: deterministic + bounded" `Quick
           test_transport_deterministic_and_bounded;
         Alcotest.test_case "transport: directional partition" `Quick
           test_transport_partition_directional;
+        Alcotest.test_case "transport: deliver golden batches" `Quick
+          test_transport_deliver_golden;
+        Alcotest.test_case "transport: deliver_each batch bound" `Quick
+          test_transport_deliver_each_batch;
         Alcotest.test_case "dedup: verdicts" `Quick test_dedup_verdicts;
         Alcotest.test_case "dedup: eviction window" `Quick test_dedup_eviction_window;
         Alcotest.test_case "detector: suspicion + recovery" `Quick
