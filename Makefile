@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke perf-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke refine refine-smoke analyze examples clean loc
+.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke perf-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke analyze examples clean loc
 
 all: build test
 
@@ -23,18 +23,18 @@ bench-full:
 	RENAMING_SCALE=full dune exec bench/main.exe
 
 # Deterministic fault-injection campaign: every algorithm under crash,
-# crash-recovery and transient faults with the safety monitor attached.
-# Exits nonzero on any safety violation; JSON lands in results/chaos.json.
+# crash-recovery and transient faults with the safety monitor and the
+# refinement checker (the centralized spec) attached.  Exits nonzero on
+# any safety violation or livelock; JSON lands in results/chaos.json.
 chaos:
 	dune exec bin/main.exe -- chaos
 
 # The service chaos campaign: one churn driver (Net_churn) under one of
-# three presets, with a fresh refinement checker on every run (the
-# centralized spec; `--no-refine` detaches it).  Every preset exits
-# nonzero on any audit, cross-shard or refinement violation, livelock,
-# wrongly fenced live lease, successful ghost operation or double grant,
-# and on any coverage floor the preset declares; JSON lands in
-# results/chaos-<preset>.json.
+# three presets, with a fresh refinement checker (the centralized spec)
+# on every run.  Every preset exits nonzero on any audit, cross-shard or
+# refinement violation, livelock, wrongly fenced live lease, successful
+# ghost operation or double grant, and on any coverage floor the preset
+# declares; JSON lands in results/chaos-<preset>.json.
 #
 # service: the lease service alone (the smallest router, a perfect
 # network, no node faults) — crash-restart clients, reclamation,
@@ -113,24 +113,11 @@ mcheck-dpor-tier1:
 fuzz:
 	dune exec bin/main.exe -- fuzz
 
-# The fixed-seed, small-budget CI configuration: seeded mutants only.
+# The fixed-seed, small-budget CI configuration: seeded mutants only,
+# including the post-reclaim regrant that only the refinement checker
+# can see (it must be caught as refine:grant-without-invoke and shrunk).
 fuzz-smoke:
 	dune exec bin/main.exe -- fuzz --mutants-only --seed 1 --iterations 200 --out results/fuzz-smoke.json
-
-# The refinement harness: every backend (one-shot executors under
-# chaos/mcheck/fuzz, the lease service, the sharded router, the
-# unreliable-transport path) checked online against the one centralized
-# renaming spec (docs/refinement.md), internal steps refining to
-# stutters, plus the seeded spec-divergence mutant self-test (must be
-# caught, ddmin-shrunk and round-tripped).  Exits nonzero on any
-# refinement violation or a missed mutant; JSON lands in
-# results/refine.json (schema renaming.refine/1).
-refine:
-	dune exec bin/main.exe -- refine
-
-# Seconds-long CI configuration of the same harness.
-refine-smoke:
-	dune exec bin/main.exe -- refine --smoke --out results/refine-smoke.json
 
 # Static analysis: the commutation-audited independence oracle (the
 # footprint table mcheck's DPOR race detection prunes with,

@@ -192,6 +192,13 @@ let write_repros ~dir repros =
       Printf.printf "(repro written to %s)\n" path)
     repros
 
+(* Command-line validation at the edge: a usage error exits 2. *)
+let require ok msg =
+  if not ok then begin
+    prerr_endline msg;
+    exit 2
+  end
+
 (* Shared --metrics option: campaigns opt into the telemetry registry
    and persist a snapshot next to their JSON summary. *)
 let metrics_arg =
@@ -200,21 +207,11 @@ let metrics_arg =
 
 let obs_of_metrics metrics = Option.map (fun _ -> Obs.create ()) metrics
 
-(* Shared --no-refine option: the campaigns (chaos, every chaos
-   backend, mcheck, fuzz) and repro replays run the refinement checker
-   alongside the safety monitor by default; this is the escape hatch. *)
-let no_refine_arg =
-  Arg.(value & flag & info [ "no-refine" ]
-         ~doc:"Do not check runs against the centralized renaming spec (the refinement layer; \
-               see docs/refinement.md).  On by default; refinement violations surface as \
-               refine:* kinds.")
-
-let refine_factory ~no_refine obs =
-  if no_refine then None
-  else
-    Some
-      (fun ~name ~namespace ->
-        Renaming_refine.Exec_adapter.hook_for ?obs ~name ~namespace ())
+(* The campaigns (chaos, mcheck, fuzz) and repro replays run every
+   execution against the centralized renaming spec alongside the safety
+   monitor (docs/refinement.md); violations surface as refine:* kinds. *)
+let refine_factory obs ~name ~namespace =
+  Renaming_refine.Exec_adapter.hook_for ?obs ~name ~namespace ()
 
 let write_metrics ~label obs metrics =
   match (obs, metrics) with
@@ -225,12 +222,12 @@ let write_metrics ~label obs metrics =
 
 (* `chaos --backend service|sharded|net`: the service chaos campaign,
    one churn driver under the chosen preset.  A fresh refinement checker
-   rides every run unless --no-refine.  The command fails on any gate
+   rides every run.  The command fails on any gate
    the campaign module declares for the preset — safety (audit,
    cross-shard and refinement violations, livelocks, wrongly fenced live
    leases, successful ghost operations, double grants) and coverage (the
    faults the preset injects must demonstrably fire). *)
-let run_backend_chaos backend ~sessions ~seed_count ~out ~metrics ~no_refine =
+let run_backend_chaos backend ~sessions ~seed_count ~out ~metrics =
   let module C = Renaming_service.Net_campaign in
   let name = "chaos --backend " ^ C.backend_name backend in
   let spec =
@@ -242,19 +239,13 @@ let run_backend_chaos backend ~sessions ~seed_count ~out ~metrics ~no_refine =
     if done_ = total then prerr_newline ()
   in
   let obs = obs_of_metrics metrics in
-  let refine =
-    if no_refine then None
-    else
-      Some
-        (fun (cfg : Renaming_service.Net_churn.config) ->
-          let adapter, tap =
-            Renaming_refine.Lease_adapter.of_router ?obs cfg.Renaming_service.Net_churn.router
-          in
-          ( tap,
-            fun () ->
-              Renaming_refine.Check.violations (Renaming_refine.Lease_adapter.check adapter) ))
+  let refine (cfg : Renaming_service.Net_churn.config) =
+    let adapter, tap =
+      Renaming_refine.Lease_adapter.of_router ?obs cfg.Renaming_service.Net_churn.router
+    in
+    (tap, fun () -> Renaming_refine.Check.violations (Renaming_refine.Lease_adapter.check adapter))
   in
-  let summary = C.run ~progress ?obs ?refine spec in
+  let summary = C.run ~progress ?obs ~refine spec in
   Format.printf "%a@." C.pp summary;
   write_file out (C.to_json summary ^ "\n");
   Printf.printf "(json written to %s)\n" out;
@@ -293,16 +284,12 @@ let chaos_cmd =
            ~doc:"With $(b,--backend): client sessions per campaign cell (defaults: 150000, \
                  60000 and 65000).")
   in
-  let run n seed_count max_ticks out metrics backend sessions no_refine =
-    if seed_count < 1 then begin
-      Printf.eprintf "chaos: --seeds must be >= 1\n";
-      exit 2
-    end;
-    (match sessions with
-    | Some s when s < 1 ->
-      Printf.eprintf "chaos: --sessions must be >= 1\n";
-      exit 2
-    | _ -> ());
+  let run n seed_count max_ticks out metrics backend sessions =
+    require (seed_count >= 1) "chaos: --seeds must be >= 1";
+    require (max_ticks >= 1) "chaos: --max-ticks must be >= 1";
+    require
+      (match sessions with Some s -> s >= 1 | None -> true)
+      "chaos: --sessions must be >= 1";
     match backend with
     | Some b ->
       let out =
@@ -310,28 +297,26 @@ let chaos_cmd =
           ~default:
             (Printf.sprintf "results/chaos-%s.json" (Renaming_service.Net_campaign.backend_name b))
       in
-      run_backend_chaos b ~sessions ~seed_count ~out ~metrics ~no_refine
+      run_backend_chaos b ~sessions ~seed_count ~out ~metrics
     | None ->
       let out = Option.value out ~default:"results/chaos.json" in
-      if n < 8 then begin
-        Printf.eprintf "chaos: -n must be >= 8 (the tight schedule's minimum)\n";
-        exit 2
-      end;
+      require (n >= 8) "chaos: -n must be >= 8 (the tight schedule's minimum)";
       let spec = Chaos.spec ~n ~seed_count ~max_ticks () in
       let progress ~done_ ~total =
         Printf.eprintf "\rchaos: cell %d/%d%!" done_ total;
         if done_ = total then prerr_newline ()
       in
       let obs = obs_of_metrics metrics in
-      let summary = Campaign.run ~progress ?obs ?refine:(refine_factory ~no_refine obs) spec in
+      let summary = Campaign.run ~progress ?obs ~refine:(refine_factory obs) spec in
       Format.printf "%a@." Campaign.pp summary;
       write_file out (Campaign.to_json summary ^ "\n");
       Printf.printf "(json written to %s)\n" out;
       write_metrics ~label:"chaos" obs metrics;
       write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
         (List.concat_map (fun c -> c.Campaign.c_repros) summary.Campaign.cells);
-      if summary.Campaign.total_violations > 0 then begin
-        Printf.eprintf "chaos: %d safety violation(s) detected\n" summary.Campaign.total_violations;
+      if not (Campaign.ok summary) then begin
+        Printf.eprintf "chaos: %d safety violation(s), %d livelock(s)\n"
+          summary.Campaign.total_violations summary.Campaign.total_livelocks;
         exit 1
       end
   in
@@ -339,12 +324,12 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Run the deterministic chaos campaign: every algorithm under crash, crash-recovery and \
-          transient-fault injection with the online safety monitor attached; with \
+          transient-fault injection with the online safety monitor and the centralized spec \
+          attached, failing on any violation or livelock; with \
           $(b,--backend), the service chaos campaign — the churn driver under its service, \
           sharded or net preset, checked against the centralized spec, failing on any safety \
           gate or unexercised fault channel.")
-    Term.(const run $ n $ seeds $ max_ticks $ out $ metrics_arg $ backend $ sessions
-          $ no_refine_arg)
+    Term.(const run $ n $ seeds $ max_ticks $ out $ metrics_arg $ backend $ sessions)
 
 let mcheck_cmd =
   let module Mcheck = Renaming_mcheck.Mcheck in
@@ -371,25 +356,23 @@ let mcheck_cmd =
            ~doc:"Wall-clock budget assertion: exit nonzero if the whole run (exploration plus \
                  shrinking) takes longer than $(docv).  Used by the mcheck-dpor-tier1 CI step.")
   in
-  let run tier1 out only legacy_dfs budget_seconds metrics no_refine =
+  let run tier1 out only legacy_dfs budget_seconds metrics =
+    require
+      (match budget_seconds with Some b -> b > 0. | None -> true)
+      "mcheck: --budget-seconds must be > 0";
     let entries = if tier1 then Roster.tier1 () else Roster.roster () in
     let entries =
       if only = [] then entries
       else List.filter (fun e -> List.mem e.Roster.e_name only) entries
     in
-    if entries = [] then begin
-      Printf.eprintf "mcheck: no roster entries selected\n";
-      exit 2
-    end;
+    require (entries <> []) "mcheck: no roster entries selected";
     let engine = if legacy_dfs then `Legacy_dfs else `Dpor in
     let t0 = Unix.gettimeofday () in
     let obs = obs_of_metrics metrics in
     let all =
       List.map
         (fun e ->
-          let stats =
-            Roster.run_entry ~engine ?obs ?refine:(refine_factory ~no_refine obs) e
-          in
+          let stats = Roster.run_entry ~engine ?obs ~refine:(refine_factory obs) e in
           Format.printf "%a@." Mcheck.pp_stats stats;
           write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
             (List.filter_map (Roster.repro_of_case e) stats.Mcheck.s_cases);
@@ -421,8 +404,7 @@ let mcheck_cmd =
           and transient-fault injections) under the online safety monitor, explored with \
           source-DPOR over the audited independence relation (wakeup trees, preemption bounding; \
           $(b,--legacy-dfs) for the pre-DPOR sleep-set engine).")
-    Term.(const run $ tier1 $ out $ only $ legacy_dfs $ budget_seconds $ metrics_arg
-          $ no_refine_arg)
+    Term.(const run $ tier1 $ out $ only $ legacy_dfs $ budget_seconds $ metrics_arg)
 
 let analyze_cmd =
   let module Analyze = Renaming_analysis.Analyze in
@@ -487,7 +469,7 @@ let shrink_cmd =
     Arg.(value & opt (some int) None & info [ "max-ticks" ]
            ~doc:"Override the artifact's livelock guard.")
   in
-  let run file max_ticks no_refine =
+  let run file max_ticks =
     let contents =
       let ic = open_in file in
       let len = in_channel_length ic in
@@ -516,17 +498,12 @@ let shrink_cmd =
             tau_cadence = repro.Shrink.rp_tau_cadence;
           }
         in
-        let extra =
-          if no_refine then None
-          else
-            let namespace =
-              Renaming_sched.Memory.namespace
-                (build ~seed:repro.Shrink.rp_seed).Renaming_sched.Executor.memory
-            in
-            Some
-              (fun () -> Renaming_refine.Exec_adapter.hook_for ~name ~namespace ())
+        let namespace =
+          Renaming_sched.Memory.namespace
+            (build ~seed:repro.Shrink.rp_seed).Renaming_sched.Executor.memory
         in
-        match Shrink.shrink ?extra input with
+        let extra () = refine_factory None ~name ~namespace in
+        match Shrink.shrink ~extra input with
         | None ->
           Printf.eprintf
             "shrink: the artifact's trace does not reproduce a failure (%d choices replayed \
@@ -564,7 +541,7 @@ let shrink_cmd =
        ~doc:
          "Replay a .repro counterexample artifact and minimise it with delta debugging; exits \
           with status 2 if the artifact no longer fails.")
-    Term.(const run $ file $ max_ticks $ no_refine_arg)
+    Term.(const run $ file $ max_ticks)
 
 let fuzz_cmd =
   let module Fuzz = Renaming_fuzz.Fuzz in
@@ -595,32 +572,30 @@ let fuzz_cmd =
     Arg.(value & opt string "results/fuzz.json" & info [ "out" ] ~docv:"FILE"
            ~doc:"Write the JSON summary to $(docv).")
   in
-  let run seed iterations depth max_seconds mutants_only only out metrics no_refine =
-    if iterations < 1 || depth < 1 then begin
-      Printf.eprintf "fuzz: --iterations and --depth must be >= 1\n";
-      exit 2
-    end;
+  let run seed iterations depth max_seconds mutants_only only out metrics =
+    require (iterations >= 1 && depth >= 1) "fuzz: --iterations and --depth must be >= 1";
+    require
+      (match max_seconds with Some s -> s > 0. | None -> true)
+      "fuzz: --max-seconds must be > 0";
     let obs = obs_of_metrics metrics in
-    let refine = refine_factory ~no_refine obs in
-    let targets = if mutants_only then Roster.mutants () else Roster.roster () in
     (* The refinement mutants are only detectable with the checker
-       attached, so they join the roster exactly when it is. *)
-    let targets = if refine = None then targets else targets @ Roster.refine_mutants () in
+       attached, which every fuzz campaign carries. *)
+    let targets =
+      (if mutants_only then Roster.mutants () else Roster.roster ()) @ Roster.refine_mutants ()
+    in
     let targets =
       if only = [] then targets
       else List.filter (fun t -> List.mem t.Fuzz.fz_name only) targets
     in
-    if targets = [] then begin
-      Printf.eprintf "fuzz: no roster targets selected\n";
-      exit 2
-    end;
+    require (targets <> []) "fuzz: no roster targets selected";
     let clock = Option.map (fun _ -> real_clock ()) max_seconds in
     let progress ~target ~done_ ~total =
       Printf.eprintf "\rfuzz: %-28s %d/%d%!" target done_ total;
       if done_ = total then prerr_newline ()
     in
     let summary =
-      Fuzz.run ?clock ?max_seconds ~depth ~progress ?obs ?refine ~seed ~iterations targets
+      Fuzz.run ?clock ?max_seconds ~depth ~progress ?obs ~refine:(refine_factory obs) ~seed
+        ~iterations targets
     in
     Format.printf "%a@." Fuzz.pp summary;
     write_file out (Fuzz.to_json summary ^ "\n");
@@ -641,7 +616,7 @@ let fuzz_cmd =
           mixes clean algorithms (must stay clean) with seeded schedule-depth mutants (must be \
           found).")
     Term.(const run $ seed $ iterations $ depth $ max_seconds $ mutants_only $ only $ out
-          $ metrics_arg $ no_refine_arg)
+          $ metrics_arg)
 
 (* --- telemetry subcommands --- *)
 
@@ -853,50 +828,6 @@ let metrics_cmd =
           instrumentation vectors, memory access counts) as JSON.")
     Term.(const run $ trace_algorithm_arg $ n $ ell $ seed $ out)
 
-let refine_cmd =
-  let module Refine = Renaming_harness.Refine_campaign in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Trim every stage to a seconds-long subset (the CI configuration).")
-  in
-  let out =
-    Arg.(value & opt string "results/refine.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write the JSON summary to $(docv).")
-  in
-  let run smoke out metrics =
-    let obs = obs_of_metrics metrics in
-    let progress stage = Printf.eprintf "refine: %s...\n%!" stage in
-    let summary = Refine.run ?obs ~progress ~smoke () in
-    Format.printf "%a@." Refine.pp summary;
-    write_file out (Refine.to_json summary ^ "\n");
-    Printf.printf "(json written to %s)\n" out;
-    write_metrics ~label:"refine" obs metrics;
-    write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
-      (Option.to_list summary.Refine.mutant.Refine.m_repro);
-    let violations =
-      List.fold_left (fun acc b -> acc + b.Refine.b_violations) 0 summary.Refine.backends
-    in
-    Printf.printf "refine%s: %d backend stage(s), %d violation(s), mutant %s\n"
-      (if smoke then " --smoke" else "")
-      (List.length summary.Refine.backends)
-      violations
-      (if Refine.mutant_ok summary.Refine.mutant then "caught" else "MISSED");
-    if not (Refine.ok summary) then begin
-      Printf.eprintf
-        "refine: campaign failed (refinement violation on a backend, or the seeded mutant \
-         escaped)\n";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "refine"
-       ~doc:
-         "Run the refinement harness: every backend (one-shot executors under chaos, mcheck and \
-          fuzz; the lease service; the sharded router; the unreliable-transport path) is checked \
-          against the one centralized renaming spec, internal steps refining to stutters, and the \
-          seeded spec-divergence mutant must be caught, shrunk and round-tripped.")
-    Term.(const run $ smoke $ out $ metrics_arg)
-
 let () =
   let doc = "Randomized renaming in shared memory systems (IPDPS 2015) — reproduction toolkit" in
   let info = Cmd.info "renaming" ~doc in
@@ -915,6 +846,5 @@ let () =
             mcheck_cmd;
             fuzz_cmd;
             shrink_cmd;
-            refine_cmd;
             analyze_cmd;
           ]))

@@ -272,6 +272,8 @@ let run ?progress ?obs ?refine spec =
     Metrics.add (Obs.counter o "chaos/injected_faults") summary.total_injected);
   summary
 
+let ok s = s.total_violations = 0 && s.total_livelocks = 0
+
 (* --- JSON emission (hand-rolled: the toolchain has no JSON library and
    the driver forbids adding one) --- *)
 

@@ -91,6 +91,10 @@ val run :
     on every event — including shrinking replays, so ["refine:..."]
     violations reduce to replayable repros like any monitor kind. *)
 
+val ok : summary -> bool
+(** Zero safety violations {e and} zero livelocks: a run cut off by
+    [max_ticks] never proved its processes named. *)
+
 val to_json : summary -> string
 
 val pp : Format.formatter -> summary -> unit

@@ -32,8 +32,6 @@ val tier1 : unit -> entry list
 (** The fast subset exercised on every [dune runtest] — since the DPOR
     engine it includes the n4 handoff entries and [shard-handoff-n5]. *)
 
-val target : entry -> Renaming_mcheck.Mcheck.target
-
 val run_entry :
   ?engine:Renaming_mcheck.Mcheck.engine ->
   ?obs:Renaming_obs.Obs.t ->

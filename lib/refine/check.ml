@@ -14,7 +14,6 @@ type t = {
   mutable steps : int;
   mutable stutters : int;
   mutable violations : int;
-  mutable first : violation option;
   counters : counters option;
 }
 
@@ -36,7 +35,6 @@ let create ?obs ~config () =
     steps = 0;
     stutters = 0;
     violations = 0;
-    first = None;
     counters;
   }
 
@@ -55,9 +53,7 @@ let observe t ev =
   | `Reject reason ->
       t.violations <- t.violations + 1;
       Option.iter (fun c -> Metrics.incr c.c_violations) t.counters;
-      let v = { v_index = index; v_event = ev; v_reason = reason } in
-      if t.first = None then t.first <- Some v;
-      `Violation v
+      `Violation { v_index = index; v_event = ev; v_reason = reason }
 
 let stutter t =
   t.events <- t.events + 1;
@@ -73,4 +69,3 @@ let events t = t.events
 let steps t = t.steps
 let stutters t = t.stutters
 let violations t = t.violations
-let first_violation t = t.first

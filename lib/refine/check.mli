@@ -23,8 +23,7 @@ val create : ?obs:Renaming_obs.Obs.t -> config:Spec.config -> unit -> t
 val observe : t -> Obs_event.t -> [ `Ok | `Violation of violation ]
 (** Applies the event to the spec.  A rejected event leaves the spec
     state unchanged and is reported; checking continues, so one run
-    can count several violations (the first is kept in
-    {!first_violation}). *)
+    can count several violations. *)
 
 val stutter : t -> unit
 (** Count one adapter-level stutter: an internal backend event
@@ -36,4 +35,3 @@ val events : t -> int
 val steps : t -> int
 val stutters : t -> int
 val violations : t -> int
-val first_violation : t -> violation option

@@ -19,9 +19,8 @@
       events at all — they refine to stutters for free.
 
     Unlike the executor adapters this one never raises: the discrete
-    event simulations drive millions of sessions and a violation is
-    reported through {!Check.violations} / {!Check.first_violation} at
-    the end of the run.
+    event simulations drive millions of sessions and violations are
+    counted by {!Check.violations}, read at the end of the run.
 
     The spec runs in lease mode ([one_shot = false]): a session may
     legally hold several leases at once (a queue ticket abandoned after

@@ -434,12 +434,31 @@ let test_property_no_duplicates_under_adversity () =
 (* --- campaign --- *)
 
 let test_campaign_tier1_zero_violations () =
-  let summary = Campaign.run (Chaos.tier1_spec ()) in
-  check Alcotest.int "zero violations" 0 summary.Campaign.total_violations;
+  (* The refinement checker the CLI attaches, counting the runs it rides. *)
+  let attached = ref 0 in
+  let refine ~name ~namespace =
+    incr attached;
+    Renaming_refine.Exec_adapter.hook_for ~name ~namespace ()
+  in
+  let summary = Campaign.run ~refine (Chaos.tier1_spec ()) in
+  check Alcotest.int "zero violations (monitor and refine:*)" 0 summary.Campaign.total_violations;
   check Alcotest.int "zero livelocks" 0 summary.Campaign.total_livelocks;
+  check Alcotest.bool "campaign ok" true (Campaign.ok summary);
+  check Alcotest.int "the spec rode every run" summary.Campaign.total_runs !attached;
   check Alcotest.bool "faults were injected" true (summary.Campaign.total_injected > 0);
   check Alcotest.bool "recoveries happened" true
     (List.exists (fun c -> c.Campaign.c_recovered > 0) summary.Campaign.cells)
+
+let test_campaign_livelock_not_ok () =
+  (* 50 ticks cannot name a tier-1 instance: every cut-off run is a
+     livelock, which fails the campaign even with zero violations. *)
+  let spec =
+    { (Chaos.tier1_spec ()) with Campaign.max_ticks = 50; seeds = Renaming_harness.Seeds.take 1 }
+  in
+  let summary = Campaign.run spec in
+  check Alcotest.int "zero violations" 0 summary.Campaign.total_violations;
+  check Alcotest.bool "livelocks recorded" true (summary.Campaign.total_livelocks > 0);
+  check Alcotest.bool "not ok" false (Campaign.ok summary)
 
 let test_campaign_deterministic () =
   let spec =
@@ -735,6 +754,7 @@ let tests =
       [
         Alcotest.test_case "tier1 campaign zero violations" `Slow
           test_campaign_tier1_zero_violations;
+        Alcotest.test_case "livelocks fail the campaign" `Quick test_campaign_livelock_not_ok;
         Alcotest.test_case "deterministic" `Quick test_campaign_deterministic;
         Alcotest.test_case "json shape" `Quick test_campaign_json_shape;
       ] );

@@ -254,8 +254,9 @@ let test_fuzzer_clean_targets_stay_clean () =
   let clean =
     List.filter (fun t -> t.Fuzz.fz_name = "linear-scan-n4") (Fuzz_roster.clean ())
   in
-  let summary = Fuzz.run ~seed:7L ~iterations:120 clean in
-  check Alcotest.bool "clean campaign ok" true (Fuzz.ok summary);
+  let refine ~name ~namespace = Renaming_refine.Exec_adapter.hook_for ~name ~namespace () in
+  let summary = Fuzz.run ~refine ~seed:7L ~iterations:120 clean in
+  check Alcotest.bool "clean campaign ok (monitor and refine:*)" true (Fuzz.ok summary);
   List.iter
     (fun r -> check Alcotest.int (r.Fuzz.r_target ^ " violation-free") 0
         (List.length r.Fuzz.r_violations))

@@ -507,10 +507,12 @@ let qcheck_engine_differential =
 (* --- the roster --- *)
 
 let test_roster_tier1_clean () =
+  let refine ~name ~namespace = Renaming_refine.Exec_adapter.hook_for ~name ~namespace () in
   List.iter
     (fun e ->
-      let stats = Roster.run_entry e in
-      check Alcotest.int (e.Roster.e_name ^ ": zero violations") 0 stats.Mcheck.s_violations;
+      let stats = Roster.run_entry ~refine e in
+      check Alcotest.int (e.Roster.e_name ^ ": zero violations (monitor and refine:*)") 0
+        stats.Mcheck.s_violations;
       check Alcotest.int (e.Roster.e_name ^ ": zero livelocks") 0 stats.Mcheck.s_livelocks;
       check Alcotest.bool (e.Roster.e_name ^ ": explored") true (stats.Mcheck.s_schedules > 0);
       check Alcotest.bool (e.Roster.e_name ^ ": exhaustive (not capped)") true

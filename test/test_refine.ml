@@ -17,7 +17,6 @@ module Report = Renaming_sched.Report
 module Shrink = Renaming_faults.Shrink
 module Fuzz = Renaming_fuzz.Fuzz
 module Fuzz_roster = Renaming_harness.Fuzz_roster
-module Refine_campaign = Renaming_harness.Refine_campaign
 module Net_churn = Renaming_service.Net_churn
 module Net_campaign = Renaming_service.Net_campaign
 module Transport = Renaming_service.Transport

@@ -1160,8 +1160,8 @@ let test_net_churn_fault_free_no_suspicion () =
 (* ------------------------------------------------------------------ *)
 (* The campaign: deterministic JSON, and every gate names its failure. *)
 
-let tiny_campaign backend =
-  Net_campaign.run (Net_campaign.default_spec ~sessions_per_cell:60 ~seeds:[| 3L |] backend)
+let tiny_campaign ?refine backend =
+  Net_campaign.run ?refine (Net_campaign.default_spec ~sessions_per_cell:60 ~seeds:[| 3L |] backend)
 
 let test_campaign_json_deterministic () =
   List.iter
@@ -1221,6 +1221,31 @@ let test_campaign_gates_name_failures () =
   check Alcotest.int "sharded floors: handoffs, mid-transit, adoptions, crashes" 4
     (floors Net_campaign.Sharded);
   check Alcotest.int "net floors: every fault channel" 15 (floors Net_campaign.Net)
+
+(* The checker `chaos --backend` attaches: one router-tap adapter per
+   run, its violation count read back afterwards.  Every run must be
+   checked, clean, and have fed the spec both steps and stutters. *)
+let test_campaign_refine_connected () =
+  List.iter
+    (fun (name, backend) ->
+      let checks = ref [] in
+      let refine (cfg : Net_churn.config) =
+        let adapter, tap = Renaming_refine.Lease_adapter.of_router cfg.Net_churn.router in
+        let c = Renaming_refine.Lease_adapter.check adapter in
+        checks := c :: !checks;
+        (tap, fun () -> Renaming_refine.Check.violations c)
+      in
+      let results = (tiny_campaign ~refine backend).Net_campaign.results in
+      check Alcotest.int (name ^ ": one checker per run") (List.length results)
+        (List.length !checks);
+      List.iter2
+        (fun r c ->
+          let label = name ^ "/" ^ r.Net_campaign.cr_name in
+          check Alcotest.(option int) (label ^ ": refine clean") (Some 0) r.Net_campaign.cr_refine;
+          check Alcotest.bool (label ^ ": stepped") true (Renaming_refine.Check.steps c > 0);
+          check Alcotest.bool (label ^ ": stuttered") true (Renaming_refine.Check.stutters c > 0))
+        results (List.rev !checks))
+    Net_campaign.backends
 
 (* ------------------------------------------------------------------ *)
 (* Admission deadline expiry is a first-class observable.             *)
@@ -1308,6 +1333,8 @@ let tests =
           test_campaign_json_deterministic;
         Alcotest.test_case "campaign: every gate reports its named failure" `Quick
           test_campaign_gates_name_failures;
+        Alcotest.test_case "campaign: the CLI's refinement checker is connected" `Quick
+          test_campaign_refine_connected;
         Alcotest.test_case "service: deadline-expiry metric" `Quick
           test_service_deadline_expired_metric;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
