@@ -69,20 +69,36 @@ chaos-net:
 chaos-net-smoke:
 	dune exec bin/main.exe -- chaos --backend net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
 
-# The deterministic allocation gate: one 5-second run of the benchmark's
-# net-faulty workload (seed 1), failing unless the run is correct and
-# allocates at most 3000 words per session.  Allocated words per session
-# repeat exactly for a seed, so unlike wall-clock throughput the bound
-# holds on any machine.  Reads only the benchmark's result line.
+# The deterministic allocation and schedule gates: one 5-second run of
+# two benchmark workloads (seed 1), each failing unless the run is
+# correct and within its bounds.  Allocated words per operation repeat
+# exactly for a seed, so unlike wall-clock throughput the bounds hold
+# on any machine.
+#   net-faulty:       at most 3000 words per session.
+#   oneshot-adaptive: at most 750 words per name, and steps_max (the
+#                     paper's step complexity over the pinned episodes,
+#                     read from the figures line) exactly 86, which
+#                     pins the adaptive adversary's schedule.
 PERF_SMOKE_MAX_WORDS = 3000
+PERF_SMOKE_ONESHOT_MAX_WORDS = 750
+PERF_SMOKE_ONESHOT_STEPS_MAX = 86
 
 perf-smoke:
 	python3 perfbench/run.py --workload net-faulty --seed 1 --seconds 5 --trace 0 \
 	  | python3 -c 'import json, sys; \
 	    r = json.loads(sys.stdin.read().strip().splitlines()[-1]); \
 	    w = r["metrics"]["alloc_words_per_op"]["value"]; \
-	    print("perf-smoke: correct=%s alloc_words_per_op=%.1f (bound %d)" % (r["correct"], w, $(PERF_SMOKE_MAX_WORDS))); \
+	    print("perf-smoke net-faulty: correct=%s alloc_words_per_op=%.1f (bound %d)" % (r["correct"], w, $(PERF_SMOKE_MAX_WORDS))); \
 	    sys.exit(0 if r["correct"] and w <= $(PERF_SMOKE_MAX_WORDS) else 1)'
+	python3 perfbench/run.py --workload oneshot-adaptive --seed 1 --seconds 5 --trace 0 \
+	  | python3 -c 'import json, sys; \
+	    lines = sys.stdin.read().strip().splitlines(); \
+	    r = json.loads(lines[-1]); \
+	    f = [json.loads(l) for l in lines if l.startswith("{\"workload_figures\"")][0]["workload_figures"]; \
+	    w = r["metrics"]["alloc_words_per_op"]["value"]; \
+	    s = f["steps_max"]["value"]; \
+	    print("perf-smoke oneshot-adaptive: correct=%s alloc_words_per_op=%.1f (bound %d) steps_max=%d (pinned %d)" % (r["correct"], w, $(PERF_SMOKE_ONESHOT_MAX_WORDS), s, $(PERF_SMOKE_ONESHOT_STEPS_MAX))); \
+	    sys.exit(0 if r["correct"] and w <= $(PERF_SMOKE_ONESHOT_MAX_WORDS) and s == $(PERF_SMOKE_ONESHOT_STEPS_MAX) else 1)'
 
 # Bounded model checking: exhaustively explore every schedule of the
 # small roster instances with source-DPOR (wakeup trees over the audited

@@ -31,7 +31,7 @@ let submit t ~pid ~bit =
   Hashtbl.remove t.answers pid;
   t.queue <- (pid, bit) :: t.queue
 
-let poll t ~pid = Option.value (Hashtbl.find_opt t.answers pid) ~default:Pending
+let poll t ~pid = match Hashtbl.find t.answers pid with a -> a | exception Not_found -> Pending
 
 let run_cycle t ~resolve_order =
   match t.queue with

@@ -43,58 +43,71 @@ let jittered_delay policy ~rng ~prev =
 
 let rec idle k = if k <= 0 then Program.return () else Program.bind Program.yield (fun () -> idle (k - 1))
 
-(* Run a Bool-responding operation with bounded retry: [Some b] on a
-   normal response, [None] when every attempt was eaten by a transient
-   fault.  The clock bounds total retry time: once the policy's
-   [time_budget] is spent (measured on the injected clock, so virtual
-   under the simulator), further faults exhaust immediately instead of
-   backing off again.  With the default {!Clock.none} the budget never
-   binds and behaviour is unchanged. *)
-let bool_result ?(clock = Clock.none) ~policy op =
-  let t0 = Clock.now clock in
-  let budget_spent () =
-    match policy.time_budget with
-    | None -> false
-    | Some budget -> Clock.elapsed_since clock t0 >= budget
-  in
-  let rec go attempt =
-    Program.Step
-      ( op,
-        function
-        | Op.Bool b -> Program.Done (Some b)
-        | Op.Faulted ->
-          if attempt >= policy.attempts || budget_spent () then Program.Done None
-          else
-            Program.bind (idle (backoff_delay policy ~attempt)) (fun () -> go (attempt + 1))
-        | resp ->
-          Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response
-            resp )
-  in
-  go 1
+(* What a retry loop needs besides its operation: the policy, the clock
+   and its reading when the loop started, and the safe answer on
+   exhaustion.  Callers that pass neither a policy nor a clock share one
+   of two constant contexts ({!Clock.none} always reads 0). *)
+type ctx = { policy : policy; clock : Clock.t; t0 : float; exhausted : bool }
+
+let ctx_lost = { policy = default; clock = Clock.none; t0 = 0.; exhausted = false }
+let ctx_set = { policy = default; clock = Clock.none; t0 = 0.; exhausted = true }
+
+let ctx ?policy ?clock ~exhausted () =
+  match (policy, clock) with
+  | None, None -> if exhausted then ctx_set else ctx_lost
+  | _ ->
+    let clock = Option.value clock ~default:Clock.none in
+    { policy = Option.value policy ~default; clock; t0 = Clock.now clock; exhausted }
+
+(* Run a Bool-responding operation with bounded retry: its answer on a
+   normal response, [ctx.exhausted] when every attempt was eaten by a
+   transient fault.  The clock bounds total retry time: once the
+   policy's [time_budget] is spent (measured on the injected clock from
+   [t0], so virtual under the simulator), further faults exhaust
+   immediately instead of backing off again.  With the default
+   {!Clock.none} the budget never binds and behaviour is unchanged.
+   Each attempt is a single [Step], so a fault-free operation costs one
+   step record and one continuation. *)
+let rec bool_attempt ctx op attempt =
+  Program.Step
+    ( op,
+      function
+      | Op.Bool b -> Program.Done b
+      | Op.Faulted ->
+        let budget_spent () =
+          match ctx.policy.time_budget with
+          | None -> false
+          | Some budget -> Clock.elapsed_since ctx.clock ctx.t0 >= budget
+        in
+        if attempt >= ctx.policy.attempts || budget_spent () then Program.Done ctx.exhausted
+        else
+          Program.bind (idle (backoff_delay ctx.policy ~attempt)) (fun () ->
+              bool_attempt ctx op (attempt + 1))
+      | resp ->
+        Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response
+          resp )
 
 (* Giving up must stay on the safe side of every invariant:
    - a TAS that keeps faulting counts as *lost* — the process never
      claims a name it cannot prove it won;
    - a read that keeps faulting counts as *set* — a scanner skips the
      register instead of fighting for information it cannot get. *)
-let tas_name ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> false) (bool_result ?clock ~policy (Op.Tas_name i))
+let tas_name ?policy ?clock i =
+  bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_name i) 1
 
-let tas_aux ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> false) (bool_result ?clock ~policy (Op.Tas_aux i))
+let tas_aux ?policy ?clock i = bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_aux i) 1
 
-let read_name ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> true) (bool_result ?clock ~policy (Op.Read_name i))
+let read_name ?policy ?clock i =
+  bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_name i) 1
 
-let read_aux ?(policy = default) ?clock i =
-  Program.map (function Some b -> b | None -> true) (bool_result ?clock ~policy (Op.Read_aux i))
+let read_aux ?policy ?clock i = bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_aux i) 1
 
-let scan_names ?(policy = default) ?clock ~first ~count () =
+let scan_names ?policy ?clock ~first ~count () =
   let open Program.Syntax in
   let rec loop k =
     if k >= count then Program.return None
     else
-      let* won = tas_name ~policy ?clock (first + k) in
+      let* won = tas_name ?policy ?clock (first + k) in
       if won then Program.return (Some (first + k)) else loop (k + 1)
   in
   loop 0

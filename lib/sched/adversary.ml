@@ -1,12 +1,14 @@
 module Sample = Renaming_rng.Sample
 
 type view = {
-  time : int;
-  runnable_count : int;
+  mutable time : int;
+  mutable runnable_count : int;
   runnable_nth : int -> int;
   is_runnable : int -> bool;
   is_crashed : int -> bool;
   pending_op : int -> Op.t;
+  first_doomed : int -> int;
+  min_runnable : unit -> int;
   memory : Memory.t;
 }
 
@@ -41,10 +43,8 @@ let fold_runnable view ~init ~f =
 let lifo =
   {
     name = "lifo";
-    decide = (fun view -> Schedule (fold_runnable view ~init:(-1) ~f:max));
+    decide = (fun view -> Schedule (fold_runnable view ~init:(-1) ~f:Int.max));
   }
-
-let min_runnable view = fold_runnable view ~init:max_int ~f:min
 
 let op_is_wasted view pid =
   match view.pending_op pid with
@@ -54,9 +54,44 @@ let op_is_wasted view pid =
   | Op.Read_word _ | Op.Write_word _ | Op.Release_name _ | Op.Yield ->
     false
 
+(* The reference definitions of the two adaptive queries, by scanning
+   the view.  The executor answers them from incrementally maintained
+   state; these scans are what its answers must equal. *)
+let scan_first_doomed view window =
+  let doomed = ref (-1) in
+  (try
+     for i = 0 to Int.min window view.runnable_count - 1 do
+       let pid = view.runnable_nth i in
+       if op_is_wasted view pid then begin
+         doomed := pid;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  !doomed
+
+let scan_min_runnable view = fold_runnable view ~init:max_int ~f:Int.min
+
+let scan_view ~time ~runnable_count ~runnable_nth ~is_runnable ~is_crashed ~pending_op ~memory =
+  let rec view =
+    {
+      time;
+      runnable_count;
+      runnable_nth;
+      is_runnable;
+      is_crashed;
+      pending_op;
+      first_doomed = (fun window -> scan_first_doomed view window);
+      min_runnable = (fun () -> scan_min_runnable view);
+      memory;
+    }
+  in
+  view
+
 (* The adaptive heuristics inspect at most this many runnable processes
-   per tick, keeping them usable at large n; the model allows full
-   inspection, this is purely a simulation-cost bound. *)
+   per tick (the first this many of the runnable order); the model
+   allows full inspection, the window only fixes which doomed process is
+   picked. *)
 let adaptive_scan_window = 512
 
 let adaptive_contention =
@@ -66,17 +101,8 @@ let adaptive_contention =
       (fun view ->
         (* Schedule a process whose TAS is doomed, if any; otherwise the
            lowest pid (delaying everyone else equally). *)
-        let doomed = ref (-1) in
-        (try
-           for i = 0 to min adaptive_scan_window view.runnable_count - 1 do
-             let pid = view.runnable_nth i in
-             if op_is_wasted view pid then begin
-               doomed := pid;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !doomed <> -1 then Schedule !doomed else Schedule (min_runnable view));
+        let doomed = view.first_doomed adaptive_scan_window in
+        if doomed <> -1 then Schedule doomed else Schedule (view.min_runnable ()));
   }
 
 let colluding =
@@ -89,13 +115,13 @@ let colluding =
            but one lose. *)
         let targets = Hashtbl.create 16 in
         let best = ref (-1) and best_count = ref 1 in
-        for i = 0 to min adaptive_scan_window view.runnable_count - 1 do
+        for i = 0 to Int.min adaptive_scan_window view.runnable_count - 1 do
           let pid = view.runnable_nth i in
           match Op.target_name (view.pending_op pid) with
           | Some reg ->
             let count, lowest =
               match Hashtbl.find_opt targets reg with
-              | Some (c, p) -> (c + 1, min p pid)
+              | Some (c, p) -> (c + 1, Int.min p pid)
               | None -> (1, pid)
             in
             Hashtbl.replace targets reg (count, lowest);
@@ -105,7 +131,7 @@ let colluding =
             end
           | None -> ()
         done;
-        if !best <> -1 then Schedule !best else Schedule (min_runnable view));
+        if !best <> -1 then Schedule !best else Schedule (view.min_runnable ()));
   }
 
 let with_crashes ~base ~crash_times =

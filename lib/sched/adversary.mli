@@ -8,17 +8,32 @@
     memory; it picks the process to step, or crashes one.
 
     The runnable set is exposed as an indexed accessor rather than an
-    array so that fair schedulers cost O(1) per tick; the adaptive
-    adversaries that scan the whole set are O(count) per tick and are
-    used at moderate [n]. *)
+    array so that fair schedulers cost O(1) per tick.  The two questions
+    the adaptive adversaries ask — which runnable process's TAS is
+    already lost, and which runnable pid is lowest — are answered by
+    the view itself: {!Executor.run} keeps both facts current as the
+    run goes (O(1) amortized per tick), while a hand-built or filtered
+    view ({!scan_view}) answers them by scanning the runnable set.
+
+    The executor updates one view in place between ticks, so an
+    adversary must read what it needs during [decide] and not keep the
+    view. *)
 
 type view = {
-  time : int;  (** executed steps so far *)
-  runnable_count : int;
+  mutable time : int;  (** executed steps so far *)
+  mutable runnable_count : int;
   runnable_nth : int -> int;  (** pid by index in [0, runnable_count); arbitrary stable order *)
   is_runnable : int -> bool;  (** by pid *)
   is_crashed : int -> bool;  (** by pid: crashed and not since recovered *)
   pending_op : int -> Op.t;  (** next operation of a runnable pid *)
+  first_doomed : int -> int;
+      (** [first_doomed window]: the runnable pid at the lowest index
+          below [min window runnable_count] whose pending operation is a
+          TAS on an already set register (a wasted step), or [-1].
+          Defined by {!scan_first_doomed}. *)
+  min_runnable : unit -> int;
+      (** the lowest runnable pid ([max_int] if none).  Defined by
+          {!scan_min_runnable}. *)
   memory : Memory.t;
 }
 
@@ -32,6 +47,28 @@ type decision =
 
 type t = { name : string; decide : view -> decision }
 
+val scan_first_doomed : view -> int -> int
+(** The reference definition of [view.first_doomed]: scan indices
+    [0 .. min window runnable_count - 1] for a pending [Tas_name] or
+    [Tas_aux] on a set register. *)
+
+val scan_min_runnable : view -> int
+(** The reference definition of [view.min_runnable]. *)
+
+val scan_view :
+  time:int ->
+  runnable_count:int ->
+  runnable_nth:(int -> int) ->
+  is_runnable:(int -> bool) ->
+  is_crashed:(int -> bool) ->
+  pending_op:(int -> Op.t) ->
+  memory:Memory.t ->
+  view
+(** A view whose [first_doomed] and [min_runnable] are the reference
+    scans over its own runnable set — for views built by hand or
+    filtered from another view, which must not inherit the executor's
+    answers about the whole set. *)
+
 val round_robin : unit -> t
 (** Sweeps the runnable set cyclically — the fair baseline that makes
     the execution behave like the synchronous rounds the proofs reason
@@ -44,17 +81,25 @@ val lifo : t
 (** Always steps the highest-numbered runnable pid: an extreme unfair
     schedule that starves low pids. *)
 
+val adaptive_scan_window : int
+(** How many runnable processes (by index, in runnable order) the
+    adaptive heuristics consider per tick: 512.  The model allows full
+    inspection; the window fixes which doomed process is picked, and
+    keeps {!colluding}'s per-tick scan bounded. *)
+
 val adaptive_contention : t
 (** Adaptive heuristic: preferentially schedules processes whose pending
     operation targets an *already set* namespace register, wasting their
     step.  This maximises lost TAS operations, the main lever an
-    adaptive adversary has against renaming algorithms.  O(count) per
-    tick. *)
+    adaptive adversary has against renaming algorithms.  Two view
+    queries per tick: [first_doomed adaptive_scan_window], else
+    [min_runnable ()]. *)
 
 val colluding : t
 (** Adaptive heuristic that maximises same-register collisions: when
     several runnable processes target the same free register it runs
-    them back-to-back so all but one lose.  O(count) per tick. *)
+    them back-to-back so all but one lose.  Scans up to
+    {!adaptive_scan_window} runnable processes per tick. *)
 
 val with_crashes : base:t -> crash_times:(int * int) list -> t
 (** [with_crashes ~base ~crash_times] behaves like [base] but crashes

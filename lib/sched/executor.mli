@@ -37,6 +37,7 @@ val run :
   ?on_event:(event -> unit) ->
   ?inject:(time:int -> pid:int -> op:Op.t -> bool) ->
   ?recover:(int -> int option Program.t) ->
+  ?on_track:(unit -> unit) ->
   adversary:Adversary.t ->
   instance ->
   Report.t
@@ -70,4 +71,15 @@ val run :
     restarts [programs.(pid)] from the top behind a
     {!Program.recover_owned} preamble, so a process that crashed after
     winning a register re-discovers and keeps that name rather than
-    leaking it. *)
+    leaking it.
+
+    The adversary sees one {!Adversary.view}, updated in place before
+    every decision: it must not keep the view across ticks.  The view
+    answers [first_doomed] from a tracker the executor keeps current at
+    every step, crash and recovery (O(1) amortized per tick), and
+    [min_runnable] from a lowest-runnable-pid cursor; both equal the
+    reference scans {!Adversary.scan_first_doomed} and
+    {!Adversary.scan_min_runnable}.  The tracker is built by the first
+    [first_doomed] query, so a run whose adversary never asks does not
+    pay for it.  [on_track] is called when it is built, so tests can
+    check that laziness. *)

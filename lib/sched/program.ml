@@ -88,16 +88,16 @@ let tau_poll reg =
       | Op.Tau a -> Done a
       | resp -> bad_response op resp )
 
+(* One [Step] per poll, all sharing one continuation. *)
 let tau_await reg =
-  let open Syntax in
-  let rec loop () =
-    let* answer = tau_poll reg in
-    match answer with
-    | Renaming_device.Tau_register.Pending -> loop ()
-    | Renaming_device.Tau_register.Won_bit -> return true
-    | Renaming_device.Tau_register.Lost_bit -> return false
+  let op = Op.Tau_poll reg in
+  let rec answer = function
+    | Op.Tau Renaming_device.Tau_register.Pending -> Step (op, answer)
+    | Op.Tau Renaming_device.Tau_register.Won_bit -> Done true
+    | Op.Tau Renaming_device.Tau_register.Lost_bit -> Done false
+    | resp -> bad_response op resp
   in
-  loop ()
+  Step (op, answer)
 
 let scan_names ~first ~count =
   let open Syntax in

@@ -60,13 +60,14 @@ let adversary pattern ~n ~base =
             Adversary.Schedule !best
           | subset ->
             let arr = Array.of_list subset in
+            (* A fresh view: the executor's answers to [first_doomed] and
+               [min_runnable] are about the whole runnable set. *)
             let sub_view =
-              {
-                view with
-                Adversary.runnable_count = Array.length arr;
-                runnable_nth = (fun i -> arr.(i));
-                is_runnable = (fun pid -> arrived pid && view.Adversary.is_runnable pid);
-              }
+              Adversary.scan_view ~time:view.Adversary.time ~runnable_count:(Array.length arr)
+                ~runnable_nth:(fun i -> arr.(i))
+                ~is_runnable:(fun pid -> arrived pid && view.Adversary.is_runnable pid)
+                ~is_crashed:view.Adversary.is_crashed ~pending_op:view.Adversary.pending_op
+                ~memory:view.Adversary.memory
             in
             base.Adversary.decide sub_view
         end);

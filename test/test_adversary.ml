@@ -5,20 +5,27 @@
 module Adversary = Renaming_sched.Adversary
 module Memory = Renaming_sched.Memory
 module Op = Renaming_sched.Op
+module Executor = Renaming_sched.Executor
+module Report = Renaming_sched.Report
+module Tas_array = Renaming_shm.Tas_array
+module Stream = Renaming_rng.Stream
+module Xoshiro = Renaming_rng.Xoshiro
+module Params = Renaming_core.Params
+module Tight = Renaming_core.Tight
+module Combined = Renaming_core.Combined
+module Longlived = Renaming_longlived.Longlived
+module Arrival = Renaming_workload.Arrival
 
 let check = Alcotest.check
 
 let view ?(time = 0) ?(crashed = []) ?(ops = []) ~memory runnable =
   let runnable = Array.of_list runnable in
-  {
-    Adversary.time;
-    runnable_count = Array.length runnable;
-    runnable_nth = (fun i -> runnable.(i));
-    is_runnable = (fun pid -> Array.exists (Int.equal pid) runnable);
-    is_crashed = (fun pid -> List.mem pid crashed);
-    pending_op = (fun pid -> match List.assoc_opt pid ops with Some op -> op | None -> Op.Yield);
-    memory;
-  }
+  Adversary.scan_view ~time ~runnable_count:(Array.length runnable)
+    ~runnable_nth:(fun i -> runnable.(i))
+    ~is_runnable:(fun pid -> Array.exists (Int.equal pid) runnable)
+    ~is_crashed:(fun pid -> List.mem pid crashed)
+    ~pending_op:(fun pid -> match List.assoc_opt pid ops with Some op -> op | None -> Op.Yield)
+    ~memory
 
 let decision_to_string = function
   | Adversary.Schedule p -> Printf.sprintf "schedule %d" p
@@ -135,6 +142,241 @@ let test_with_crash_recovery_schedule () =
         (Adversary.with_crash_recovery ~base:(Adversary.round_robin ()) ~crashes:[]
            ~recover_after:0))
 
+(* --- the executor's view queries against the reference scans --- *)
+
+(* Windows below, at and above the runnable counts of the runs below. *)
+let windows = [ 1; 2; 7; 64; Adversary.adaptive_scan_window; max_int ]
+
+type diff = {
+  mutable ticks : int;  (** decisions checked *)
+  mutable doomed_hits : int;  (** checks where the reference found a doomed pid *)
+  mutable undooms : int;  (** releases scheduled while another pid waits on the register *)
+  mutable mismatches : string list;
+}
+
+let new_diff () = { ticks = 0; doomed_hits = 0; undooms = 0; mismatches = [] }
+
+(* Wraps [base] so that, from tick [from] on, every decision first
+   compares the view's [first_doomed] (at every window) and
+   [min_runnable] with the reference scans, then decides as [base]
+   does.  With [from > 0] and a base that never queries, the tracker is
+   built mid-run from a memory that is already partly set. *)
+let checked ?(from = 0) d (base : Adversary.t) =
+  {
+    base with
+    Adversary.decide =
+      (fun view ->
+        if view.Adversary.time >= from then begin
+          d.ticks <- d.ticks + 1;
+          List.iter
+            (fun w ->
+              let want = Adversary.scan_first_doomed view w in
+              let got = view.Adversary.first_doomed w in
+              if want >= 0 then d.doomed_hits <- d.doomed_hits + 1;
+              if got <> want then
+                d.mismatches <-
+                  Printf.sprintf "t=%d first_doomed %d: %d, scan %d" view.time w got want
+                  :: d.mismatches)
+            windows;
+          let want = Adversary.scan_min_runnable view and got = view.Adversary.min_runnable () in
+          if got <> want then
+            d.mismatches <-
+              Printf.sprintf "t=%d min_runnable: %d, scan %d" view.time got want :: d.mismatches
+        end;
+        let decision = base.Adversary.decide view in
+        (match decision with
+        | Adversary.Schedule pid -> (
+          match view.Adversary.pending_op pid with
+          | Op.Release_name r ->
+            for i = 0 to view.Adversary.runnable_count - 1 do
+              if view.Adversary.pending_op (view.Adversary.runnable_nth i) = Op.Tas_name r then
+                d.undooms <- d.undooms + 1
+            done
+          | _ -> ())
+        | Adversary.Crash _ | Adversary.Recover _ -> ());
+        decision);
+  }
+
+let check_diff label d =
+  check (Alcotest.list Alcotest.string) (label ^ ": no mismatch") [] (List.rev d.mismatches);
+  check Alcotest.bool (label ^ ": ticks checked") true (d.ticks > 0);
+  check Alcotest.bool (label ^ ": doomed pids seen") true (d.doomed_hits > 0)
+
+let tight_instance ~n ~seed =
+  Tight.instance
+    ~params:(Params.make ~policy:Params.Mass_conserving ~n ())
+    ~stream:(Stream.create seed) ()
+
+let combined_instance ~n ~seed =
+  Combined.instance
+    { Combined.n; variant = Combined.Geometric { ell = 2 } }
+    ~stream:(Stream.create seed)
+
+let longlived_instance ~seed =
+  Longlived.instance
+    (Longlived.make_config ~epsilon:0.25 ~rounds:6 ~sessions:24 ())
+    ~stream:(Stream.create seed)
+
+let bases seed =
+  [
+    ("adaptive", 0, Adversary.adaptive_contention);
+    ("colluding", 0, Adversary.colluding);
+    ("round-robin-late", 40, Adversary.round_robin ());
+    ("uniform-late", 25, Adversary.uniform (Xoshiro.create seed));
+  ]
+
+let run_checked ?inject ?(max_ticks = 1_000_000) label ~from base inst =
+  let d = new_diff () in
+  let r = Executor.run ?inject ~max_ticks ~adversary:(checked ~from d base) inst in
+  check_diff label d;
+  check Alcotest.bool (label ^ ": sound") true (Report.is_sound r);
+  d
+
+let test_tracker_matches_scan_one_shot () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, from, base) ->
+          let lbl s = Printf.sprintf "%s %s seed %Ld" s name seed in
+          ignore (run_checked (lbl "tight") ~from base (tight_instance ~n:64 ~seed));
+          ignore (run_checked (lbl "combined") ~from base (combined_instance ~n:128 ~seed)))
+        (bases seed))
+    [ 1L; 2L; 3L ]
+
+let test_tracker_matches_scan_releases () =
+  (* Long-lived sessions release their names: a release must un-doom the
+     waiters of that register. *)
+  let undooms = ref 0 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, from, base) ->
+          let d =
+            run_checked (Printf.sprintf "longlived %s seed %Ld" name seed) ~from base
+              (longlived_instance ~seed)
+          in
+          undooms := !undooms + d.undooms)
+        (bases seed))
+    [ 1L; 2L; 3L ];
+  check Alcotest.bool "some release freed a register another pid was doomed on" true (!undooms > 0)
+
+let test_tracker_matches_scan_aux () =
+  (* The sorting-network adapter contends on auxiliary TAS bits. *)
+  let module Adapter = Renaming_sortnet.Renaming_adapter in
+  let adapter = Adapter.prepare (Renaming_sortnet.Bitonic.network ~width:16) in
+  List.iter
+    (fun (name, from, base) ->
+      ignore
+        (run_checked ("sortnet " ^ name) ~from base
+           (Adapter.instance adapter ~entries:(Array.init 16 Fun.id))))
+    (bases 4L)
+
+let test_tracker_matches_scan_crashes () =
+  List.iter
+    (fun seed ->
+      let crashes = List.init 12 (fun i -> ((7 * i) + 3, (11 * i) mod 128)) in
+      let adversaries =
+        [
+          ( "crash-recovery",
+            Adversary.with_crash_recovery ~base:Adversary.adaptive_contention ~crashes
+              ~recover_after:9 );
+          ( "crash-random",
+            Adversary.crash_random ~fraction:0.02 ~rng:(Xoshiro.create seed)
+              ~base:Adversary.adaptive_contention );
+          ( "crash-recovery-late",
+            Adversary.with_crash_recovery ~base:(Adversary.round_robin ()) ~crashes
+              ~recover_after:5 );
+        ]
+      in
+      List.iter
+        (fun (name, base) ->
+          let from = if name = "crash-recovery-late" then 30 else 0 in
+          let lbl s = Printf.sprintf "%s %s seed %Ld" s name seed in
+          ignore (run_checked (lbl "combined") ~from base (combined_instance ~n:128 ~seed));
+          ignore (run_checked (lbl "tight") ~from base (tight_instance ~n:64 ~seed));
+          ignore (run_checked (lbl "longlived") ~from base (longlived_instance ~seed)))
+        adversaries)
+    [ 1L; 2L ]
+
+let test_tracker_matches_scan_faults () =
+  (* Faulted TAS operations change no register but still move the pid to
+     its retry (a yield), and back. *)
+  let inject ~time ~pid:_ ~op =
+    match op with Op.Tas_name _ | Op.Tas_aux _ -> time mod 5 = 2 | _ -> false
+  in
+  List.iter
+    (fun (name, from, base) ->
+      ignore
+        (run_checked ~inject ("combined faults " ^ name) ~from base
+           (combined_instance ~n:128 ~seed:9L));
+      ignore
+        (run_checked ~inject ("tight faults " ^ name) ~from base (tight_instance ~n:64 ~seed:9L)))
+    (bases 9L)
+
+let test_tracker_is_lazy () =
+  let builds adversary =
+    let built = ref 0 in
+    ignore
+      (Executor.run
+         ~on_track:(fun () -> incr built)
+         ~adversary (combined_instance ~n:128 ~seed:5L));
+    !built
+  in
+  check Alcotest.int "round-robin never builds the tracker" 0 (builds (Adversary.round_robin ()));
+  check Alcotest.int "lifo never builds the tracker" 0 (builds Adversary.lifo);
+  check Alcotest.int "adaptive builds it once" 1 (builds Adversary.adaptive_contention)
+
+(* The reference rule of [adaptive_contention] on an explicit pid list
+   (in runnable order). *)
+let reference_adaptive (view : Adversary.view) pids =
+  let wasted pid =
+    match view.Adversary.pending_op pid with
+    | Op.Tas_name i -> Tas_array.is_set (Memory.names view.Adversary.memory) i
+    | Op.Tas_aux i -> Tas_array.is_set (Memory.aux view.Adversary.memory) i
+    | _ -> false
+  in
+  let window = List.filteri (fun i _ -> i < Adversary.adaptive_scan_window) pids in
+  match List.find_opt wasted window with
+  | Some pid -> pid
+  | None -> List.fold_left Int.min max_int pids
+
+let test_arrival_subview_uses_subset () =
+  (* [Arrival] shows its base adversary only the arrived processes; the
+     executor's whole-set answers must not leak into that view. *)
+  let n = 128 in
+  let pattern = Arrival.Staggered { gap = 3 } in
+  let arrivals = Arrival.times pattern ~n in
+  let outer = Arrival.adversary pattern ~n ~base:Adversary.adaptive_contention in
+  let checked_ticks = ref 0 and leaks_possible = ref 0 and mismatches = ref [] in
+  let decide (view : Adversary.view) =
+    let pids = List.init view.Adversary.runnable_count view.Adversary.runnable_nth in
+    let arrived = List.filter (fun pid -> arrivals.(pid) <= view.Adversary.time) pids in
+    let d = outer.Adversary.decide view in
+    if arrived <> [] then begin
+      incr checked_ticks;
+      let want = reference_adaptive view arrived in
+      if reference_adaptive view pids <> want then incr leaks_possible;
+      if d <> Adversary.Schedule want then
+        mismatches :=
+          Printf.sprintf "t=%d: %s, reference schedule %d" view.Adversary.time
+            (decision_to_string d) want
+          :: !mismatches
+    end;
+    d
+  in
+  List.iter
+    (fun seed ->
+      let r =
+        Executor.run ~adversary:{ outer with Adversary.decide } (combined_instance ~n ~seed)
+      in
+      check Alcotest.bool "sound" true (Report.is_sound r))
+    [ 1L; 2L; 3L ];
+  check (Alcotest.list Alcotest.string) "arrival picks the reference rule on the subset" []
+    (List.rev !mismatches);
+  check Alcotest.bool "ticks checked" true (!checked_ticks > 0);
+  check Alcotest.bool "whole-set answers differ from the subset's at some tick" true
+    (!leaks_possible > 0)
+
 let tests =
   [
     ( "sched.adversary",
@@ -150,5 +392,17 @@ let tests =
         Alcotest.test_case "never crashes the last runnable" `Quick
           test_with_crashes_never_kills_last_runnable;
         Alcotest.test_case "crash-recovery timing" `Quick test_with_crash_recovery_schedule;
+        Alcotest.test_case "tracker = scan: tight, combined" `Quick
+          test_tracker_matches_scan_one_shot;
+        Alcotest.test_case "tracker = scan: long-lived releases" `Quick
+          test_tracker_matches_scan_releases;
+        Alcotest.test_case "tracker = scan: aux TAS bits" `Quick test_tracker_matches_scan_aux;
+        Alcotest.test_case "tracker = scan: crashes and recoveries" `Quick
+          test_tracker_matches_scan_crashes;
+        Alcotest.test_case "tracker = scan: injected TAS faults" `Quick
+          test_tracker_matches_scan_faults;
+        Alcotest.test_case "tracker is built only when queried" `Quick test_tracker_is_lazy;
+        Alcotest.test_case "arrival sub-view answers for the arrived subset" `Quick
+          test_arrival_subview_uses_subset;
       ] );
   ]

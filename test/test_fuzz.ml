@@ -20,15 +20,12 @@ let check = Alcotest.check
 
 let view ?(time = 0) ~memory runnable =
   let runnable = Array.of_list runnable in
-  {
-    Adversary.time;
-    runnable_count = Array.length runnable;
-    runnable_nth = (fun i -> runnable.(i));
-    is_runnable = (fun pid -> Array.exists (Int.equal pid) runnable);
-    is_crashed = (fun _ -> false);
-    pending_op = (fun _ -> Op.Yield);
-    memory;
-  }
+  Adversary.scan_view ~time ~runnable_count:(Array.length runnable)
+    ~runnable_nth:(fun i -> runnable.(i))
+    ~is_runnable:(fun pid -> Array.exists (Int.equal pid) runnable)
+    ~is_crashed:(fun _ -> false)
+    ~pending_op:(fun _ -> Op.Yield)
+    ~memory
 
 let schedule_of = function
   | Adversary.Schedule p -> p
@@ -91,15 +88,12 @@ let test_pct_with_crashes_respects_budget () =
     let runnable = List.filter (fun p -> not (List.mem p !crashed)) [ 0; 1; 2 ] in
     let runnable = Array.of_list runnable in
     let v =
-      {
-        Adversary.time = t;
-        runnable_count = Array.length runnable;
-        runnable_nth = (fun i -> runnable.(i));
-        is_runnable = (fun pid -> Array.exists (Int.equal pid) runnable);
-        is_crashed = (fun pid -> List.mem pid !crashed);
-        pending_op = (fun _ -> Op.Yield);
-        memory;
-      }
+      Adversary.scan_view ~time:t ~runnable_count:(Array.length runnable)
+        ~runnable_nth:(fun i -> runnable.(i))
+        ~is_runnable:(fun pid -> Array.exists (Int.equal pid) runnable)
+        ~is_crashed:(fun pid -> List.mem pid !crashed)
+        ~pending_op:(fun _ -> Op.Yield)
+        ~memory
     in
     match a.Adversary.decide v with
     | Adversary.Schedule p -> check Alcotest.bool "scheduled pid runnable" true (v.Adversary.is_runnable p)
