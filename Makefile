@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke perf-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke analyze examples clean loc
+.PHONY: all build test bench bench-full chaos chaos-service chaos-service-smoke chaos-sharded chaos-sharded-smoke chaos-net chaos-net-smoke perf-smoke mcheck mcheck-tier1 mcheck-dpor-tier1 fuzz fuzz-smoke repro-smoke analyze examples clean loc
 
 all: build test
 
@@ -23,9 +23,10 @@ bench-full:
 	RENAMING_SCALE=full dune exec bench/main.exe
 
 # Deterministic fault-injection campaign: every algorithm under crash,
-# crash-recovery and transient faults with the safety monitor and the
-# refinement checker (the centralized spec) attached.  Exits nonzero on
-# any safety violation or livelock; JSON lands in results/chaos.json.
+# crash-recovery and transient faults, every run checked by the safety
+# monitor (executor discipline) and the centralized spec it carries
+# (name uniqueness, range and ownership).  Exits nonzero on any safety
+# violation or livelock; JSON lands in results/chaos.json.
 chaos:
 	dune exec bin/main.exe -- chaos
 
@@ -102,9 +103,10 @@ perf-smoke:
 
 # Bounded model checking: exhaustively explore every schedule of the
 # small roster instances with source-DPOR (wakeup trees over the audited
-# independence relation, preemption-bounded) and the safety monitor on
-# every interleaving.  Violations are auto-shrunk to minimal repros
-# under results/repros/; exits nonzero on any violation; JSON lands in
+# independence relation, preemption-bounded) and the safety monitor plus
+# the centralized spec on every interleaving.  Violations are
+# auto-shrunk to minimal repros under results/repros/mcheck/; exits
+# nonzero on any violation; JSON lands in
 # results/mcheck.json (schema renaming.mcheck/2).  `--legacy-dfs`
 # switches back to the pre-DPOR sleep-set engine for differential runs.
 mcheck:
@@ -122,18 +124,37 @@ mcheck-dpor-tier1:
 
 # Coverage-guided schedule fuzzing: PCT adversaries plus mutation of an
 # interleaving-coverage corpus over the fuzz roster (clean algorithms
-# that must stay clean + seeded mutants that must be found).  Violations
-# are ddmin-shrunk to replayable repros under results/repros/; exits
-# nonzero on a missed mutant or a violation on a clean target; JSON
-# lands in results/fuzz.json.
+# that must stay clean + seeded mutants that must be found).  Every run
+# is checked against the centralized spec, which owns name safety, under
+# the executor-discipline monitor.  Violations are ddmin-shrunk to
+# replayable repros under results/repros/<stem of --out>/ (here
+# results/repros/fuzz/); exits nonzero on a missed mutant or a violation
+# on a clean target; JSON lands in results/fuzz.json.
 fuzz:
 	dune exec bin/main.exe -- fuzz
 
 # The fixed-seed, small-budget CI configuration: seeded mutants only,
-# including the post-reclaim regrant that only the refinement checker
-# can see (it must be caught as refine:grant-without-invoke and shrunk).
+# every one caught by the spec alone (including the post-reclaim regrant,
+# caught as refine:grant-without-invoke) and shrunk; repros land in
+# results/repros/fuzz-smoke/, apart from the full campaign's.
 fuzz-smoke:
 	dune exec bin/main.exe -- fuzz --mutants-only --seed 1 --iterations 200 --out results/fuzz-smoke.json
+
+# Replay gate: `renaming shrink` every committed repro artifact and fail
+# unless the failure it reproduces has the kind its `kind:` header
+# records (or if there is no artifact at all).  `shrink` writes a
+# minimised <file>.min beside each artifact; .gitignore covers those.
+repro-smoke:
+	@dune build bin/main.exe
+	@n=0; for f in $$(find results/repros -name '*.repro' | sort); do \
+	  want=$$(sed -n 's/^kind: //p' "$$f"); \
+	  out=$$(./_build/default/bin/main.exe shrink "$$f") || { echo "repro-smoke: $$f does not replay"; exit 1; }; \
+	  got=$$(printf '%s\n' "$$out" | head -n 1 | sed 's/^[^:]*: //'); \
+	  if [ "$$got" != "$$want" ]; then echo "repro-smoke: $$f replays to $$got, header says $$want"; exit 1; fi; \
+	  echo "repro-smoke: $$f -> $$got"; n=$$((n + 1)); \
+	done; \
+	if [ $$n -eq 0 ]; then echo "repro-smoke: no artifacts under results/repros"; exit 1; fi; \
+	echo "repro-smoke: $$n artifacts replay to their recorded kind"
 
 # Static analysis: the commutation-audited independence oracle (the
 # footprint table mcheck's DPOR race detection prunes with,

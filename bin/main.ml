@@ -179,8 +179,15 @@ let write_file path contents =
   close_out oc
 
 (* Persist shrunk counterexamples as replayable artifacts for
-   `renaming shrink`. *)
-let write_repros ~dir repros =
+   `renaming shrink`, under repros/<stem of --out>/ beside the JSON
+   summary, so that no two campaigns (fuzz and fuzz-smoke, say) write
+   the same path. *)
+let write_repros ~out repros =
+  let dir =
+    Filename.concat
+      (Filename.concat (Filename.dirname out) "repros")
+      (Filename.remove_extension (Filename.basename out))
+  in
   List.iteri
     (fun i (r : Renaming_faults.Shrink.repro) ->
       let path =
@@ -207,11 +214,11 @@ let metrics_arg =
 
 let obs_of_metrics metrics = Option.map (fun _ -> Obs.create ()) metrics
 
-(* The campaigns (chaos, mcheck, fuzz) and repro replays run every
-   execution against the centralized renaming spec alongside the safety
-   monitor (docs/refinement.md); violations surface as refine:* kinds. *)
-let refine_factory obs ~name ~namespace =
-  Renaming_refine.Exec_adapter.hook_for ?obs ~name ~namespace ()
+(* The campaigns (chaos, mcheck, fuzz) and repro replays check every
+   execution against the centralized renaming spec, which the safety
+   monitor composes after its executor-discipline checks
+   (docs/refinement.md); name violations surface as refine:* kinds. *)
+let refine_factory obs = Renaming_refine.Exec_adapter.hook_for ?obs ()
 
 let write_metrics ~label obs metrics =
   match (obs, metrics) with
@@ -312,8 +319,7 @@ let chaos_cmd =
       write_file out (Campaign.to_json summary ^ "\n");
       Printf.printf "(json written to %s)\n" out;
       write_metrics ~label:"chaos" obs metrics;
-      write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
-        (List.concat_map (fun c -> c.Campaign.c_repros) summary.Campaign.cells);
+      write_repros ~out (List.concat_map (fun c -> c.Campaign.c_repros) summary.Campaign.cells);
       if not (Campaign.ok summary) then begin
         Printf.eprintf "chaos: %d safety violation(s), %d livelock(s)\n"
           summary.Campaign.total_violations summary.Campaign.total_livelocks;
@@ -374,8 +380,7 @@ let mcheck_cmd =
         (fun e ->
           let stats = Roster.run_entry ~engine ?obs ~refine:(refine_factory obs) e in
           Format.printf "%a@." Mcheck.pp_stats stats;
-          write_repros ~dir:(Filename.concat (Filename.dirname out) "repros")
-            (List.filter_map (Roster.repro_of_case e) stats.Mcheck.s_cases);
+          write_repros ~out (List.filter_map (Roster.repro_of_case e) stats.Mcheck.s_cases);
           stats)
         entries
     in
@@ -492,18 +497,12 @@ let shrink_cmd =
           {
             Shrink.label = name;
             build = (fun () -> build ~seed:repro.Shrink.rp_seed);
-            check_ownership = repro.Shrink.rp_check_ownership;
             choices = repro.Shrink.rp_choices;
             max_ticks = Option.value max_ticks ~default:repro.Shrink.rp_max_ticks;
             tau_cadence = repro.Shrink.rp_tau_cadence;
           }
         in
-        let namespace =
-          Renaming_sched.Memory.namespace
-            (build ~seed:repro.Shrink.rp_seed).Renaming_sched.Executor.memory
-        in
-        let extra () = refine_factory None ~name ~namespace in
-        match Shrink.shrink ~extra input with
+        match Shrink.shrink ~refine:(refine_factory None) input with
         | None ->
           Printf.eprintf
             "shrink: the artifact's trace does not reproduce a failure (%d choices replayed \
@@ -578,11 +577,7 @@ let fuzz_cmd =
       (match max_seconds with Some s -> s > 0. | None -> true)
       "fuzz: --max-seconds must be > 0";
     let obs = obs_of_metrics metrics in
-    (* The refinement mutants are only detectable with the checker
-       attached, which every fuzz campaign carries. *)
-    let targets =
-      (if mutants_only then Roster.mutants () else Roster.roster ()) @ Roster.refine_mutants ()
-    in
+    let targets = if mutants_only then Roster.mutants () else Roster.roster () in
     let targets =
       if only = [] then targets
       else List.filter (fun t -> List.mem t.Fuzz.fz_name only) targets
@@ -601,7 +596,7 @@ let fuzz_cmd =
     write_file out (Fuzz.to_json summary ^ "\n");
     Printf.printf "(json written to %s)\n" out;
     write_metrics ~label:"fuzz" obs metrics;
-    write_repros ~dir:(Filename.concat (Filename.dirname out) "repros") (Fuzz.repros summary);
+    write_repros ~out (Fuzz.repros summary);
     if not (Fuzz.ok summary) then begin
       Printf.eprintf "fuzz: campaign failed (missed mutant or violation on a clean target)\n";
       exit 1
@@ -611,8 +606,9 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Run the coverage-guided schedule-fuzzing campaign: PCT adversaries (plain and \
-          crash-spending) plus mutation of an interleaving-coverage corpus, under the online \
-          safety monitor, with every violation ddmin-shrunk to a replayable .repro.  The roster \
+          crash-spending) plus mutation of an interleaving-coverage corpus, every run checked \
+          against the centralized spec under the executor-discipline monitor, with every \
+          violation ddmin-shrunk to a replayable .repro.  The roster \
           mixes clean algorithms (must stay clean) with seeded schedule-depth mutants (must be \
           found).")
     Term.(const run $ seed $ iterations $ depth $ max_seconds $ mutants_only $ only $ out
@@ -808,8 +804,8 @@ let metrics_cmd =
     (* The refinement checker rides along, so the snapshot also carries
        the refine/events, refine/stutters and refine/violations counters. *)
     let refine_hook =
-      Renaming_refine.Exec_adapter.hook_for ~obs ~name:inst.Executor.label
-        ~namespace:(Renaming_sched.Memory.namespace inst.Executor.memory) ()
+      Renaming_refine.Exec_adapter.hook_for ~obs () ~name:inst.Executor.label
+        ~namespace:(Renaming_sched.Memory.namespace inst.Executor.memory)
     in
     let report =
       Executor.run ~obs ~on_event:refine_hook ~adversary:(Adversary.round_robin ()) inst

@@ -1,5 +1,4 @@
 module Executor = Renaming_sched.Executor
-module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
 module Trace = Renaming_sched.Trace
@@ -11,7 +10,6 @@ module Metrics = Renaming_obs.Metrics
 type algorithm = {
   algo_name : string;
   build : seed:int64 -> Executor.instance;
-  check_ownership : bool;
 }
 
 type adversary_spec = { adv_name : string; make_adversary : seed:int64 -> Adversary.t }
@@ -99,7 +97,7 @@ let choices_of_trace trace ~faulted =
       | Trace.Recovered { pid; _ } -> Directed.Recover pid)
     (Trace.events trace)
 
-let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
+let run_cell ~refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
   let violations = ref 0 in
   let messages = ref [] in
   let repros = ref [] in
@@ -130,32 +128,18 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
         if hit then faulted := (Trace.length trace - 1) :: !faulted;
         hit
       in
-      let monitor =
-        Monitor.create ~check_ownership:algo.check_ownership ~memory:inst.Executor.memory
-          ~processes:n ()
-      in
-      (* The refinement checker (when attached) runs after the monitor,
-         with a fresh state per run. *)
-      let on_event =
-        match refine with
-        | None -> Monitor.hook monitor
-        | Some make ->
-          let rhook =
-            make ~name:algo.algo_name ~namespace:(Memory.namespace inst.Executor.memory)
-          and mhook = Monitor.hook monitor in
-          fun ev ->
-            mhook ev;
-            rhook ev
-      in
+      let monitor = Monitor.create ~refine ~name:algo.algo_name inst in
       (try
-         let report = Executor.run ~max_ticks ~inject ~on_event ~adversary inst in
+         let report =
+           Executor.run ~max_ticks ~inject ~on_event:(Monitor.hook monitor) ~adversary inst
+         in
          Monitor.finalize monitor report;
-         (* Belt and braces: the monitor already checks uniqueness and
-            bounds online; a post-hoc failure here means the monitor has
-            a blind spot. *)
+         (* Belt and braces: the spec already checks uniqueness and
+            bounds online; a post-hoc failure here means the spec (or
+            its executor adapter) has a blind spot. *)
          if not (Report.is_sound report) then begin
            incr violations;
-           messages := "post-hoc soundness check failed (monitor blind spot?)" :: !messages
+           messages := "post-hoc soundness check failed (spec blind spot?)" :: !messages
          end;
          if Report.is_livelock report then incr livelocks
          else begin
@@ -173,26 +157,18 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
            {
              Shrink.label = algo.algo_name;
              build = (fun () -> algo.build ~seed);
-             check_ownership = algo.check_ownership;
              choices = choices_of_trace trace ~faulted:!faulted;
              max_ticks;
              tau_cadence = 1;
            }
          in
-         let extra =
-           Option.map
-             (fun make () ->
-               make ~name:algo.algo_name ~namespace:(Memory.namespace inst.Executor.memory))
-             refine
-         in
-         (match Shrink.shrink ?extra shrink_input with
+         (match Shrink.shrink ~refine shrink_input with
          | Some r ->
            repros :=
              {
                Shrink.rp_algorithm = algo.algo_name;
                rp_n = n;
                rp_seed = seed;
-               rp_check_ownership = algo.check_ownership;
                rp_max_ticks = max_ticks;
                rp_tau_cadence = 1;
                rp_kind = r.Shrink.r_failure.Shrink.f_kind;
@@ -222,7 +198,7 @@ let run_cell ?refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
     c_repros = List.rev !repros;
   }
 
-let run ?progress ?obs ?refine spec =
+let run ?progress ?obs ~refine spec =
   let report_progress =
     match progress with Some f -> f | None -> fun ~done_:_ ~total:_ -> ()
   in
@@ -242,7 +218,7 @@ let run ?progress ?obs ?refine spec =
                 List.map
                   (fun rate ->
                     let cell =
-                      run_cell ?refine ~max_ticks:spec.max_ticks ~seeds:spec.seeds
+                      run_cell ~refine ~max_ticks:spec.max_ticks ~seeds:spec.seeds
                         ~baseline_max_steps algo adv pattern rate
                     in
                     incr done_cells;

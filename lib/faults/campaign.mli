@@ -1,6 +1,7 @@
 (** Chaos campaign runner: sweep the cross-product of
     {algorithm × adversary × crash/recovery pattern × fault rate × seeds},
-    run every cell under the online safety {!Monitor}, and summarise
+    run every cell under the online safety {!Monitor} (executor
+    discipline plus the spec), and summarise
     safety violations, livelocks and step-complexity degradation versus
     the fault-free fair-schedule baseline.
 
@@ -14,7 +15,6 @@ type algorithm = {
   build : seed:int64 -> Renaming_sched.Executor.instance;
       (** must return a fresh instance; all algorithm randomness derives
           from [seed] so campaigns are deterministic *)
-  check_ownership : bool;  (** see {!Monitor.create} *)
 }
 
 type adversary_spec = {
@@ -47,7 +47,7 @@ type cell = {
   c_pattern : string;
   c_rate : float;
   c_runs : int;
-  c_violations : int;  (** monitor violations + post-hoc soundness failures *)
+  c_violations : int;  (** monitor and spec violations + post-hoc soundness failures *)
   c_messages : string list;  (** one per violating run *)
   c_livelocks : int;  (** runs cut off by [max_ticks] *)
   c_injected : int;  (** transient faults actually injected *)
@@ -76,20 +76,20 @@ type summary = {
 val run :
   ?progress:(done_:int -> total:int -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
+  refine:Monitor.refine ->
   spec ->
   summary
-(** Runs every cell; a monitor violation aborts only that run and is
-    recorded in the cell.  Deterministic given [spec.seeds].  With
-    [obs], campaign totals are recorded on the registry as the
+(** Runs every cell; a monitor or spec violation aborts only that run
+    and is recorded in the cell.  Deterministic given [spec.seeds].
+    With [obs], campaign totals are recorded on the registry as the
     [chaos/cells], [chaos/runs], [chaos/violations], [chaos/livelocks]
     and [chaos/injected_faults] counters.
 
-    [refine] attaches the refinement checker to every run: the factory
-    is applied once per run (fresh checker state) with the algorithm
-    name and instance namespace, and its hook runs after the monitor's
-    on every event — including shrinking replays, so ["refine:..."]
-    violations reduce to replayable repros like any monitor kind. *)
+    [refine] is the spec: {!Monitor.create} applies it once per run
+    (fresh checker state), including shrinking replays, so
+    ["refine:..."] violations reduce to replayable repros.  After each
+    completed run, {!Renaming_sched.Report.is_sound} re-checks the final
+    assignment as a guard on the spec. *)
 
 val ok : summary -> bool
 (** Zero safety violations {e and} zero livelocks: a run cut off by

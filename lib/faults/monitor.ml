@@ -1,7 +1,6 @@
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Report = Renaming_sched.Report
-module Tas_array = Renaming_shm.Tas_array
 module Step_ledger = Renaming_shm.Step_ledger
 
 type violation = { kind : string; message : string }
@@ -13,40 +12,38 @@ let () =
     | Violation { kind; message } -> Some (Printf.sprintf "Monitor.Violation[%s]: %s" kind message)
     | _ -> None)
 
+type refine = name:string -> namespace:int -> Executor.event -> unit
+
+(* Trace excerpt length: events kept for a violation message. *)
+let window = 24
+
 type t = {
-  memory : Memory.t;
-  namespace : int;
   processes : int;
-  check_ownership : bool;
+  spec : Executor.event -> unit;
   steps : int array;
   mutable total_steps : int;
   crashed : bool array;
   has_returned : bool array;
-  claimed : (int, int) Hashtbl.t;  (* name -> pid *)
+  returned : int option array;
   (* Ring buffer of recent events, for the fail-fast trace excerpt. *)
   ring : string array;
   mutable ring_filled : int;
   mutable ring_next : int;
-  mutable violations : int;
 }
 
-let create ?(check_ownership = false) ?(window = 24) ~memory ~processes () =
-  if processes < 0 then invalid_arg "Monitor.create: negative processes";
-  if window < 1 then invalid_arg "Monitor.create: window must be >= 1";
+let create ~refine ~name (inst : Executor.instance) =
+  let processes = Array.length inst.Executor.programs in
   {
-    memory;
-    namespace = Memory.namespace memory;
     processes;
-    check_ownership;
+    spec = refine ~name ~namespace:(Memory.namespace inst.Executor.memory);
     steps = Array.make processes 0;
     total_steps = 0;
     crashed = Array.make processes false;
     has_returned = Array.make processes false;
-    claimed = Hashtbl.create (max 16 processes);
+    returned = Array.make processes None;
     ring = Array.make window "";
     ring_filled = 0;
     ring_next = 0;
-    violations = 0;
   }
 
 let remember t event =
@@ -65,12 +62,9 @@ let excerpt t =
   done;
   Buffer.contents buf
 
-let violation_count t = t.violations
-
 let fail t ~kind fmt =
   Format.kasprintf
     (fun msg ->
-      t.violations <- t.violations + 1;
       raise
         (Violation
            { kind; message = Printf.sprintf "safety violation: %s\n%s" msg (excerpt t) }))
@@ -81,7 +75,7 @@ let check_pid t pid =
 
 let hook t (event : Executor.event) =
   remember t event;
-  match event with
+  (match event with
   | Executor.Stepped { pid; time; op; _ } ->
     check_pid t pid;
     if t.crashed.(pid) then
@@ -110,25 +104,8 @@ let hook t (event : Executor.event) =
     if t.crashed.(pid) then
       fail t ~kind:"return-while-crashed" "process %d returned at t=%d while crashed" pid time;
     t.has_returned.(pid) <- true;
-    (match value with
-    | None -> ()
-    | Some name ->
-      if name < 0 || name >= t.namespace then
-        fail t ~kind:"out-of-range-name" "process %d claimed out-of-range name %d (namespace %d)"
-          pid name t.namespace;
-      (match Hashtbl.find_opt t.claimed name with
-      | Some other ->
-        fail t ~kind:"duplicate-name" "duplicate name %d: claimed by both %d and %d" name other pid
-      | None -> Hashtbl.add t.claimed name pid);
-      if t.check_ownership then
-        match Tas_array.owner (Memory.names t.memory) name with
-        | Some owner when owner = pid -> ()
-        | Some owner ->
-          fail t ~kind:"unbacked-claim" "process %d claimed name %d owned by process %d" pid name
-            owner
-        | None ->
-          fail t ~kind:"unbacked-claim" "process %d claimed name %d whose register is free" pid
-            name)
+    t.returned.(pid) <- value);
+  t.spec event
 
 let finalize t (report : Report.t) =
   for pid = 0 to t.processes - 1 do
@@ -146,7 +123,7 @@ let finalize t (report : Report.t) =
       match value with
       | None -> ()
       | Some name ->
-        if Hashtbl.find_opt t.claimed name <> Some pid then
+        if t.returned.(pid) <> Some name then
           fail t ~kind:"assignment-mismatch"
             "final assignment gives %d to process %d but the monitor never saw that return" name
             pid)

@@ -7,7 +7,6 @@ type failure = { f_kind : string; f_message : string }
 type input = {
   label : string;
   build : unit -> Executor.instance;
-  check_ownership : bool;
   choices : Directed.choice list;
   max_ticks : int;
   tau_cadence : int;
@@ -21,26 +20,12 @@ type result = {
   r_replays : int;
 }
 
-let execute ?extra input prefix =
+let execute ~refine input prefix =
   let inst = input.build () in
-  let monitor =
-    Monitor.create ~check_ownership:input.check_ownership ~memory:inst.Executor.memory
-      ~processes:(Array.length inst.Executor.programs) ()
-  in
-  (* The extra hook gets a fresh state per replay and runs after the
-     monitor, so a failure the monitor can already see keeps its kind. *)
-  let on_event =
-    match extra with
-    | None -> Monitor.hook monitor
-    | Some make ->
-      let hook = make () and mhook = Monitor.hook monitor in
-      fun ev ->
-        mhook ev;
-        hook ev
-  in
+  let monitor = Monitor.create ~refine ~name:input.label inst in
   let run =
-    Directed.run ~max_ticks:input.max_ticks ~tau_cadence:input.tau_cadence ~on_event ~prefix
-      inst
+    Directed.run ~max_ticks:input.max_ticks ~tau_cadence:input.tau_cadence
+      ~on_event:(Monitor.hook monitor) ~prefix inst
   in
   let failure =
     match run.Directed.outcome with
@@ -93,9 +78,9 @@ let rec ddmin test lst n =
     | None -> if n < len then ddmin test lst (min len (2 * n)) else lst
   end
 
-let shrink ?(max_replays = 4000) ?extra input =
+let shrink ?(max_replays = 4000) ~refine input =
   let replays = ref 1 in
-  let run0, fail0 = execute ?extra input input.choices in
+  let run0, fail0 = execute ~refine input input.choices in
   match fail0 with
   | None -> None
   | Some f0 ->
@@ -105,7 +90,7 @@ let shrink ?(max_replays = 4000) ?extra input =
       if !replays >= max_replays then false
       else begin
         incr replays;
-        match execute ?extra input candidate with
+        match execute ~refine input candidate with
         | _, Some f when String.equal f.f_kind kind ->
           last_failure := f;
           true
@@ -146,7 +131,6 @@ type repro = {
   rp_algorithm : string;
   rp_n : int;
   rp_seed : int64;
-  rp_check_ownership : bool;
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
@@ -161,7 +145,6 @@ let repro_to_string r =
   Buffer.add_string buf (Printf.sprintf "algorithm: %s\n" r.rp_algorithm);
   Buffer.add_string buf (Printf.sprintf "n: %d\n" r.rp_n);
   Buffer.add_string buf (Printf.sprintf "seed: %Ld\n" r.rp_seed);
-  Buffer.add_string buf (Printf.sprintf "check-ownership: %b\n" r.rp_check_ownership);
   Buffer.add_string buf (Printf.sprintf "max-ticks: %d\n" r.rp_max_ticks);
   Buffer.add_string buf (Printf.sprintf "tau-cadence: %d\n" r.rp_tau_cadence);
   Buffer.add_string buf (Printf.sprintf "kind: %s\n" r.rp_kind);
@@ -208,7 +191,6 @@ let repro_of_string s =
   let* rp_algorithm = field "algorithm" Option.some in
   let* rp_n = field "n" int_of_string_opt in
   let* rp_seed = field "seed" Int64.of_string_opt in
-  let* rp_check_ownership = field "check-ownership" bool_of_string_opt in
   let* rp_max_ticks = field "max-ticks" int_of_string_opt in
   (* Optional header (pre-τ artifacts lack it): cadence 1 is the
      executor default those artifacts were recorded under. *)
@@ -258,7 +240,6 @@ let repro_of_string s =
       rp_algorithm;
       rp_n;
       rp_seed;
-      rp_check_ownership;
       rp_max_ticks;
       rp_tau_cadence;
       rp_kind;

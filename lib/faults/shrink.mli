@@ -25,11 +25,10 @@ type failure = {
 }
 
 type input = {
-  label : string;  (** algorithm name, for reporting *)
+  label : string;  (** target name: passed to the spec factory and used in reports *)
   build : unit -> Renaming_sched.Executor.instance;
       (** must return a fresh, deterministic instance — same memory and
           programs every call — or replays diverge *)
-  check_ownership : bool;  (** see {!Monitor.create} *)
   choices : Renaming_sched.Directed.choice list;  (** the failing prefix *)
   max_ticks : int;  (** livelock guard per replay *)
   tau_cadence : int;
@@ -48,30 +47,26 @@ type result = {
 }
 
 val execute :
-  ?extra:(unit -> Renaming_sched.Executor.event -> unit) ->
+  refine:Monitor.refine ->
   input ->
   Renaming_sched.Directed.choice list ->
   Renaming_sched.Directed.result * failure option
 (** One monitored replay of a candidate prefix (permissive mode):
-    builds a fresh instance, runs it under the safety monitor, and
-    classifies the outcome.  [None] means the run completed cleanly.
-
-    [extra] builds an additional per-replay event hook, composed after
-    the monitor's — the refinement checker rides replays this way.  A
-    violation it raises as {!Monitor.Violation} classifies like any
-    other (so ["refine:..."] kinds shrink with exact-kind matching);
-    the monitor runs first so failures both can see keep their
-    original kind. *)
+    builds a fresh instance, runs it under the safety {!Monitor} with a
+    fresh spec hook from [refine], and classifies the outcome.  [None]
+    means the run completed cleanly.  Spec violations (["refine:..."])
+    classify like discipline ones, so they shrink with exact-kind
+    matching. *)
 
 val shrink :
   ?max_replays:int ->
-  ?extra:(unit -> Renaming_sched.Executor.event -> unit) ->
+  refine:Monitor.refine ->
   input ->
   result option
 (** [None] if [input.choices] does not fail in the first place.
     [max_replays] (default [4000]) caps total executions; if the budget
     runs out the result is still a valid counterexample, just not
-    necessarily 1-minimal.  [extra] as in {!execute}. *)
+    necessarily 1-minimal.  [refine] as in {!execute}. *)
 
 type trace_format =
   | Choices  (** one {!Renaming_sched.Directed.choice_to_string} line per choice *)
@@ -83,7 +78,6 @@ type repro = {
   rp_algorithm : string;
   rp_n : int;
   rp_seed : int64;
-  rp_check_ownership : bool;
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
@@ -93,7 +87,7 @@ type repro = {
 
 val repro_to_string : repro -> string
 (** Plain-text artifact: [key: value] headers ([algorithm], [n], [seed],
-    [check-ownership], [max-ticks], [tau-cadence], [kind],
+    [max-ticks], [tau-cadence], [kind],
     [trace-format]) followed by a [trace:] section rendered per
     [rp_trace_format].  [rp_choices] is the single source of truth —
     the condensed body is derived from it on the way out. *)
@@ -101,4 +95,5 @@ val repro_to_string : repro -> string
 val repro_of_string : string -> (repro, string) Stdlib.result
 (** Inverse of {!repro_to_string}.  The [tau-cadence] and [trace-format]
     headers are optional ([1] and [Choices] respectively) so artifacts
-    written before they existed still parse. *)
+    written before they existed still parse; unknown headers (such as
+    the retired [check-ownership]) are ignored. *)

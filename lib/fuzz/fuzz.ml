@@ -1,5 +1,4 @@
 module Executor = Renaming_sched.Executor
-module Memory = Renaming_sched.Memory
 module Adversary = Renaming_sched.Adversary
 module Directed = Renaming_sched.Directed
 module Report = Renaming_sched.Report
@@ -16,7 +15,6 @@ type target = {
   fz_name : string;
   fz_n : int;
   fz_build : seed:int64 -> Executor.instance;
-  fz_check_ownership : bool;
   fz_allow_faults : bool;
       (* Fault mutations are only sound for programs routing namespace
          traffic through the fault-aware retry primitives; plain
@@ -87,24 +85,11 @@ type outcome_class =
 (* One monitored, coverage-instrumented execution of [target] under
    [drive].  Detaches the logger before returning so instances never
    leak a collector. *)
-let observe_run ?refine target ~tseed ~drive =
+let observe_run ~refine target ~tseed ~drive =
   let inst = target.fz_build ~seed:tseed in
   let cov = Coverage.create () in
   Coverage.attach cov inst.Executor.memory;
-  let monitor =
-    Monitor.create ~check_ownership:target.fz_check_ownership ~memory:inst.Executor.memory
-      ~processes:(Array.length inst.Executor.programs) ()
-  in
-  let on_event =
-    match refine with
-    | None -> Monitor.hook monitor
-    | Some make ->
-      let rhook = make ~name:target.fz_name ~namespace:(Memory.namespace inst.Executor.memory)
-      and mhook = Monitor.hook monitor in
-      fun ev ->
-        mhook ev;
-        rhook ev
-  in
+  let monitor = Monitor.create ~refine ~name:target.fz_name inst in
   let classify_report report =
     if Report.is_livelock report then Livelocked
     else (
@@ -114,7 +99,7 @@ let observe_run ?refine target ~tseed ~drive =
       with Monitor.Violation v -> Violated { kind = v.Monitor.kind; message = v.Monitor.message })
   in
   let outcome =
-    match drive ~inst ~on_event with
+    match drive ~inst ~on_event:(Monitor.hook monitor) with
     | report -> classify_report report
     | exception Monitor.Violation v ->
       Violated { kind = v.Monitor.kind; message = v.Monitor.message }
@@ -122,20 +107,12 @@ let observe_run ?refine target ~tseed ~drive =
   Coverage.detach inst.Executor.memory;
   (outcome, Coverage.edges cov)
 
-let shrink_violation ?refine target ~tseed ~prefix =
-  let extra =
-    Option.map
-      (fun make ->
-        let namespace = Memory.namespace (target.fz_build ~seed:tseed).Executor.memory in
-        fun () -> make ~name:target.fz_name ~namespace)
-      refine
-  in
+let shrink_violation ~refine target ~tseed ~prefix =
   match
-    Shrink.shrink ?extra
+    Shrink.shrink ~refine
       {
         Shrink.label = target.fz_name;
         build = (fun () -> target.fz_build ~seed:tseed);
-        check_ownership = target.fz_check_ownership;
         choices = prefix;
         max_ticks = target.fz_max_ticks;
         tau_cadence = target.fz_tau_cadence;
@@ -148,7 +125,6 @@ let shrink_violation ?refine target ~tseed ~prefix =
         Shrink.rp_algorithm = target.fz_name;
         rp_n = target.fz_n;
         rp_seed = tseed;
-        rp_check_ownership = target.fz_check_ownership;
         rp_max_ticks = target.fz_max_ticks;
         rp_tau_cadence = target.fz_tau_cadence;
         rp_kind = r.Shrink.r_failure.Shrink.f_kind;
@@ -156,7 +132,7 @@ let shrink_violation ?refine target ~tseed ~prefix =
         rp_choices = r.Shrink.r_choices;
       }
 
-let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
+let fuzz_target ~refine ~master ~depth ~iterations ~should_stop target =
   (* The instance seed is fixed per target (derived from the campaign
      seed and the target name): corpus prefixes then stay meaningful
      across iterations — only the schedule varies, exactly the
@@ -173,7 +149,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       growth := { g_iteration = iteration; g_edges = Corpus.seen_edges corpus } :: !growth
   in
   let record_violation ~iteration ~mode ~prefix kind message =
-    let repro = shrink_violation ?refine target ~tseed ~prefix in
+    let repro = shrink_violation ~refine target ~tseed ~prefix in
     violations := { v_kind = kind; v_message = message; v_iteration = iteration; v_mode = mode; v_repro = repro } :: !violations
   in
   (* Baseline: one fair round-robin run.  It estimates k (the expected
@@ -187,7 +163,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
   let k = ref 32 in
   let baseline_trace = Trace.create () in
   (match
-     observe_run ?refine target ~tseed
+     observe_run ~refine target ~tseed
        ~drive:(fun ~inst ~on_event ->
          let report = traced_executor_run (Adversary.round_robin ()) baseline_trace ~inst ~on_event in
          k := max 8 report.Report.ticks;
@@ -212,7 +188,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       in
       let taken = ref [||] in
       let outcome, edges =
-        observe_run ?refine target ~tseed ~drive:(fun ~inst ~on_event ->
+        observe_run ~refine target ~tseed ~drive:(fun ~inst ~on_event ->
             let r =
               Directed.run ~max_ticks:target.fz_max_ticks ~tau_cadence:target.fz_tau_cadence
                 ~on_event ~prefix:child inst
@@ -245,7 +221,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
       let mode = adversary.Adversary.name in
       let trace = Trace.create () in
       let outcome, edges =
-        observe_run ?refine target ~tseed ~drive:(traced_executor_run adversary trace)
+        observe_run ~refine target ~tseed ~drive:(traced_executor_run adversary trace)
       in
       let prefix = choices_of_trace trace in
       match outcome with
@@ -268,7 +244,7 @@ let fuzz_target ?refine ~master ~depth ~iterations ~should_stop target =
     r_violations = List.rev !violations;
   }
 
-let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ?refine ~seed ~iterations targets =
+let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ~refine ~seed ~iterations targets =
   if depth < 1 then invalid_arg "Fuzz.run: depth must be >= 1";
   if iterations < 0 then invalid_arg "Fuzz.run: iterations must be >= 0";
   let master = Stream.create seed in
@@ -287,7 +263,7 @@ let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ?refine ~
   let results =
     List.mapi
       (fun idx target ->
-        let r = fuzz_target ?refine ~master ~depth ~iterations ~should_stop target in
+        let r = fuzz_target ~refine ~master ~depth ~iterations ~should_stop target in
         report_progress ~target:target.fz_name ~done_:(idx + 1) ~total;
         r)
       targets

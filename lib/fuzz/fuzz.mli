@@ -15,7 +15,8 @@
       ({!Corpus.mutate}), replay through the permissive prefix-directed
       executor.
 
-    Every run executes under the online safety monitor and a fresh
+    Every run executes under the online safety monitor (executor
+    discipline plus the spec) and a fresh
     {!Coverage} collector; schedules producing new conflict edges are
     admitted to the corpus ({!Corpus.observe}).  The first violation per
     target ends that target's campaign: the failing decision sequence is
@@ -31,7 +32,6 @@ type target = {
   fz_name : string;
   fz_n : int;
   fz_build : seed:int64 -> Renaming_sched.Executor.instance;
-  fz_check_ownership : bool;  (** see {!Renaming_faults.Monitor.create} *)
   fz_allow_faults : bool;
       (** permit [Fault] mutations — only sound when the target's
           programs route namespace traffic through the fault-aware
@@ -86,7 +86,7 @@ val run :
   ?max_seconds:float ->
   ?progress:(target:string -> done_:int -> total:int -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
+  refine:Renaming_faults.Monitor.refine ->
   seed:int64 ->
   iterations:int ->
   target list ->
@@ -102,13 +102,9 @@ val run :
     counters; the fuzzing loop itself never sees [obs], so results are
     identical either way.
 
-    [refine] attaches the refinement checker to every run: the factory
-    is applied once per run (fresh checker state) with the target name
-    and instance namespace, and its hook is composed after the safety
-    monitor's — including shrinking replays, so ["refine:..."]
-    violations ddmin-reduce like any monitor kind.  The schedules a
-    campaign attempts are unchanged; on targets it never flags, results
-    are identical with or without it. *)
+    [refine] is the spec: {!Renaming_faults.Monitor.create} applies it
+    once per run (fresh checker state), including shrinking replays, so
+    ["refine:..."] violations ddmin-reduce like discipline kinds. *)
 
 val ok : summary -> bool
 (** Every mutant target found (with a shrunk repro for each violation)

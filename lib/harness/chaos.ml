@@ -4,9 +4,6 @@ module Adversary = Renaming_sched.Adversary
 module Stream = Renaming_rng.Stream
 module Params = Renaming_core.Params
 
-(* Every roster algorithm claims names exclusively by winning namespace
-   TAS registers, so the monitor's ownership check is valid for all of
-   them. *)
 let algorithms ~n : Campaign.algorithm list =
   [
     {
@@ -16,7 +13,6 @@ let algorithms ~n : Campaign.algorithm list =
           Renaming_core.Loose_geometric.instance
             { Renaming_core.Loose_geometric.n; ell = 2 }
             ~stream:(Stream.create seed));
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "loose-clustered";
@@ -25,7 +21,6 @@ let algorithms ~n : Campaign.algorithm list =
           Renaming_core.Loose_clustered.instance
             { Renaming_core.Loose_clustered.n; ell = 2 }
             ~stream:(Stream.create seed));
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "combined-geometric";
@@ -34,7 +29,6 @@ let algorithms ~n : Campaign.algorithm list =
           Renaming_core.Combined.instance
             { Renaming_core.Combined.n; variant = Renaming_core.Combined.Geometric { ell = 2 } }
             ~stream:(Stream.create seed));
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "tight";
@@ -42,7 +36,6 @@ let algorithms ~n : Campaign.algorithm list =
         (fun ~seed ->
           let params = Params.make ~policy:Params.Mass_conserving ~n () in
           Renaming_core.Tight.instance ~params ~stream:(Stream.create seed) ());
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "adaptive";
@@ -51,7 +44,6 @@ let algorithms ~n : Campaign.algorithm list =
           Renaming_core.Adaptive.instance
             (Renaming_core.Adaptive.make_config ~k:n ())
             ~stream:(Stream.create seed));
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "uniform-probing";
@@ -60,13 +52,11 @@ let algorithms ~n : Campaign.algorithm list =
           Renaming_baselines.Uniform_probing.instance
             (Renaming_baselines.Uniform_probing.make_config ~n ~m:n ())
             ~stream:(Stream.create seed));
-      check_ownership = true;
     };
     {
       Campaign.algo_name = "linear-scan";
       build =
         (fun ~seed:_ -> Renaming_baselines.Linear_scan.instance { Renaming_baselines.Linear_scan.n; m = n });
-      check_ownership = true;
     };
   ]
 

@@ -10,8 +10,8 @@
 
 val algorithms : n:int -> Renaming_faults.Campaign.algorithm list
 (** loose-geometric, loose-clustered, combined-geometric, tight,
-    adaptive, uniform-probing, linear-scan — all with the ownership
-    check enabled.  [n] must be ≥ 8 (the tight schedule's minimum). *)
+    adaptive, uniform-probing, linear-scan.  [n] must be ≥ 8 (the tight
+    schedule's minimum). *)
 
 val adversaries : unit -> Renaming_faults.Campaign.adversary_spec list
 (** round-robin, uniform, adaptive-contention, colluding. *)

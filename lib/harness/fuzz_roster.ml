@@ -5,13 +5,12 @@ module Program = Renaming_sched.Program
 module Tau_register = Renaming_device.Tau_register
 module Stream = Renaming_rng.Stream
 
-let target ~name ~n ?(check_ownership = true) ?(allow_faults = false) ?(allow_crashes = false)
+let target ~name ~n ?(allow_faults = false) ?(allow_crashes = false)
     ?(tau_cadence = 1) ?(max_ticks = 50_000) ?(expect_violation = false) build =
   {
     Fuzz.fz_name = name;
     fz_n = n;
     fz_build = build;
-    fz_check_ownership = check_ownership;
     fz_allow_faults = allow_faults;
     fz_allow_crashes = allow_crashes;
     fz_tau_cadence = tau_cadence;
@@ -158,25 +157,22 @@ let clean () =
       (fun ~seed -> loose_geometric ~n:4 ~seed);
     (* Lease-handoff fencing (Renaming_service.Handoff): the returned
        name is guarded by aux-register locks, not a namespace TAS, so
-       ownership checking is off; uniqueness of the returned name is the
-       property under test.  All traffic goes through Retry, so fault
-       mutation is sound. *)
-    target ~name:"lease-handoff-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
+       the spec hears only returns; uniqueness of the returned name is
+       the property under test.  All traffic goes through Retry, so
+       fault mutation is sound. *)
+    target ~name:"lease-handoff-n4" ~n:4 ~allow_faults:true ~allow_crashes:true
       (fun ~seed -> Renaming_service.Handoff.instance ~n:4 ~seed);
     (* Slice-handoff fencing (Renaming_service.Shard_handoff): the
        router's slice-transfer core — every name of the old epoch is
        fenced by a settle-lock TAS before the epoch bumps and the new
        epoch regrants.  Property: global uniqueness across epochs. *)
-    target ~name:"shard-handoff-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
+    target ~name:"shard-handoff-n4" ~n:4 ~allow_faults:true ~allow_crashes:true
       (fun ~seed -> Renaming_service.Shard_handoff.instance ~n:4 ~seed);
     (* At-most-once dedup eviction fencing (Renaming_service.Net_dedup):
        duplicate deliveries of one rid race a fenced evictor; the
        property is that the rid's name is granted by exactly one
        delivery across both dedup epochs. *)
-    target ~name:"net-dedup-n4" ~n:4 ~check_ownership:false ~allow_faults:true
-      ~allow_crashes:true
+    target ~name:"net-dedup-n4" ~n:4 ~allow_faults:true ~allow_crashes:true
       (fun ~seed -> Renaming_service.Net_dedup.instance ~n:4 ~seed);
     target ~name:"combined-geometric-n8" ~n:8 ~allow_faults:true ~allow_crashes:true
       (fun ~seed -> combined_geometric ~n:8 ~seed);
@@ -188,12 +184,12 @@ let clean () =
        protocol action is self-reported on the announce word, so this is
        the one target whose whole observable behaviour the refinement
        checker sees verbatim.  Grants live in announces, not namespace
-       TASes, so ownership checking is off; settle locks make it legal
-       under every schedule and crash.  Transient faults stay off: a
+       TASes; settle locks make it legal under every schedule and
+       crash.  Transient faults stay off: a
        faulted announce write silently drops an event, and refining an
        incomplete observable trace is meaningless (the spec would blame
        the next legitimate event). *)
-    target ~name:"refine-grant-n2" ~n:2 ~check_ownership:false ~allow_crashes:true
+    target ~name:"refine-grant-n2" ~n:2 ~allow_crashes:true
       (fun ~seed -> grant_model ~n:2 ~seed);
   ]
 
@@ -211,8 +207,7 @@ let mutants () =
        Round-robin resolves the race benignly; a priority schedule that
        parks the reclaimer until the holder's validation read, then lets
        the claimant commit at the next epoch, yields a double grant. *)
-    target ~name:"mutant-lease-stale-write" ~n:3 ~check_ownership:false
-      ~expect_violation:true
+    target ~name:"mutant-lease-stale-write" ~n:3 ~expect_violation:true
       (fun ~seed -> Renaming_service.Handoff.instance_stale_write ~n:3 ~seed);
     (* Unfenced slice handoff: the taker hands the slice to the next
        epoch after merely *reading* the old epoch's settle locks — the
@@ -220,8 +215,7 @@ let mutants () =
        hold window still commits at the old epoch while the published
        transfer-freedom flag lets the new epoch regrant the same name:
        a cross-epoch double grant reachable at preemption depth 2. *)
-    target ~name:"mutant-shard-unfenced-handoff" ~n:3 ~check_ownership:false
-      ~expect_violation:true
+    target ~name:"mutant-shard-unfenced-handoff" ~n:3 ~expect_violation:true
       (fun ~seed -> Renaming_service.Shard_handoff.instance_unfenced ~n:3 ~seed);
     (* Unfenced dedup eviction: the evictor *reads* the settle lock
        instead of TASing it, then evicts the rid's dedup entry while a
@@ -230,22 +224,15 @@ let mutants () =
        same name.  Clean under fair round-robin (the evictor parks past
        the original's commit); the double grant needs a preemption
        inside the hold window. *)
-    target ~name:"mutant-net-dedup-evict" ~n:3 ~check_ownership:false
-      ~expect_violation:true
+    target ~name:"mutant-net-dedup-evict" ~n:3 ~expect_violation:true
       (fun ~seed -> Renaming_service.Net_dedup.instance_evict ~n:3 ~seed);
-  ]
-
-let refine_mutants () =
-  [
     (* Post-reclaim double grant: the reclaimer announces the reclaim
        and then re-announces the grant for a session that never
-       re-invoked.  Invisible to the safety monitor (no name is ever
-       double-held in memory) and to the fair baseline (clients settle
-       before the reclaimer's sweep); only the refinement checker, fed
-       the announce stream, can flag it — so this mutant belongs to the
-       fuzz roster only when the campaign runs with [~refine]. *)
-    target ~name:"mutant-refine-regrant" ~n:2 ~check_ownership:false ~allow_crashes:true
-      ~expect_violation:true
+       re-invoked.  No name is ever double-held in memory, and the fair
+       baseline is clean (clients settle before the reclaimer's sweep);
+       only the spec's invocation rule, fed the announce stream, can
+       flag it. *)
+    target ~name:"mutant-refine-regrant" ~n:2 ~allow_crashes:true ~expect_violation:true
       (fun ~seed -> grant_model_regrant ~n:2 ~seed);
   ]
 
@@ -253,9 +240,7 @@ let roster () = clean () @ mutants ()
 
 let builder ~name ~n =
   match
-    List.find_opt
-      (fun t -> String.equal t.Fuzz.fz_name name && t.Fuzz.fz_n = n)
-      (roster () @ refine_mutants ())
+    List.find_opt (fun t -> String.equal t.Fuzz.fz_name name && t.Fuzz.fz_n = n) (roster ())
   with
   | Some t -> Some t.Fuzz.fz_build
   | None -> None

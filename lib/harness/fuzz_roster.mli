@@ -5,31 +5,25 @@
     - {!clean}: small instances of real algorithms (loose-geometric,
       combined-geometric, uniform-probing, linear-scan).  The fuzzer
       must report zero violations here — any hit is a real bug (or a
-      monitor blind spot) and fails the campaign.
-    - {!mutants}: deliberately seeded schedule-depth bugs — a
-      double-claim in the loose-geometric probe path, a τ-device
-      over-admit, and a dropped straggler in the Combined backup path.
-      Each is clean under the fair round-robin baseline and breaks only
-      under a rare bounded-depth interleaving; the fuzzer {e must} find
-      and shrink every one within its budget, or the campaign fails.
-      This is the fuzzing analogue of
+      spec blind spot) and fails the campaign.
+    - {!mutants}: deliberately seeded bugs — a double-claim in the
+      loose-geometric probe path, a τ-device over-admit, a dropped
+      straggler in the Combined backup path, three unfenced service
+      protocols (lease stale write, slice handoff, dedup eviction) and
+      a post-reclaim regrant in the announce model.  Each is clean
+      under the fair round-robin baseline and breaks only under a rare
+      bounded-depth interleaving; every one is caught by the spec alone
+      (the monitor keeps only executor discipline), and the fuzzer
+      {e must} find and shrink every one within its budget, or the
+      campaign fails.  This is the fuzzing analogue of
       [renaming analyze --inject broken-footprint]. *)
 
 val clean : unit -> Renaming_fuzz.Fuzz.target list
 
 val mutants : unit -> Renaming_fuzz.Fuzz.target list
 
-val refine_mutants : unit -> Renaming_fuzz.Fuzz.target list
-(** Mutants only the refinement checker can see (their bug is a
-    spec-inexplicable announce, not a memory-level safety violation):
-    today the post-reclaim double grant of
-    {!Renaming_refine.Grant_model.instance_regrant}.  Append them to the
-    campaign only when {!Renaming_fuzz.Fuzz.run} gets [~refine] — without
-    it they can never be found and would fail the campaign vacuously. *)
-
 val roster : unit -> Renaming_fuzz.Fuzz.target list
-(** [clean () @ mutants ()] — the refine-blind campaign;
-    {!refine_mutants} ride along only under [~refine]. *)
+(** [clean () @ mutants ()]. *)
 
 val builder :
   name:string ->

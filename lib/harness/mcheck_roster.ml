@@ -8,7 +8,6 @@ type entry = {
   e_name : string;
   e_n : int;
   e_seed : int64;
-  e_check_ownership : bool;
   e_build : seed:int64 -> Renaming_sched.Executor.instance;
   e_bounds : Mcheck.bounds;
   e_baseline : int option;
@@ -48,12 +47,11 @@ let tight ~n ~seed =
 
 let grant_model ~n ~seed = Renaming_refine.Grant_model.instance ~n ~seed
 
-let entry ?(check_ownership = true) ?baseline ~name ~n ~build ~bounds () =
+let entry ?baseline ~name ~n ~build ~bounds () =
   {
     e_name = name;
     e_n = n;
     e_seed = seed;
-    e_check_ownership = check_ownership;
     e_build = build;
     e_bounds = bounds;
     e_baseline = baseline;
@@ -94,42 +92,42 @@ let roster () =
       ~bounds:(bounds ~preemptions:0 ()) ();
     (* The lease-handoff fencing protocol (Renaming_service.Handoff):
        no process TASes a namespace register for the name it returns, so
-       ownership checking is off — the property is uniqueness of the
-       returned name, which the monitor checks regardless. *)
-    entry ~name:"lease-handoff-n3" ~n:3 ~check_ownership:false ~baseline:44
+       the spec hears only the returned name (Exec_adapter's [Returns]
+       mode) — the property is uniqueness of the returned name. *)
+    entry ~name:"lease-handoff-n3" ~n:3 ~baseline:44
       ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:3 ~seed)
       ~bounds:(bounds ~preemptions:3 ()) ();
-    entry ~name:"lease-handoff-n4" ~n:4 ~check_ownership:false ~baseline:76
+    entry ~name:"lease-handoff-n4" ~n:4 ~baseline:76
       ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:4 ~seed)
       ~bounds:(bounds ~preemptions:2 ()) ();
-    entry ~name:"lease-handoff-n5" ~n:5 ~check_ownership:false
+    entry ~name:"lease-handoff-n5" ~n:5
       ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:5 ~seed)
       ~bounds:(bounds ~preemptions:2 ()) ();
     (* The slice-handoff fencing protocol (Renaming_service.Shard_handoff):
        the router's ownership-transfer core — a whole slice of names is
        fenced name-by-name and re-granted under a bumped epoch.  Same
-       aux-register guard structure as lease-handoff, so ownership
-       checking is off; the property is global uniqueness of every
+       aux-register guard structure as lease-handoff, so the spec hears
+       only returns; the property is global uniqueness of every
        returned name across both epochs. *)
-    entry ~name:"shard-handoff-n3" ~n:3 ~check_ownership:false ~baseline:130
+    entry ~name:"shard-handoff-n3" ~n:3 ~baseline:130
       ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:3 ~seed)
       ~bounds:(bounds ~preemptions:5 ()) ();
-    entry ~name:"shard-handoff-n4" ~n:4 ~check_ownership:false ~baseline:212
+    entry ~name:"shard-handoff-n4" ~n:4 ~baseline:212
       ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:4 ~seed)
       ~bounds:(bounds ~preemptions:3 ()) ();
-    entry ~name:"shard-handoff-n5" ~n:5 ~check_ownership:false
+    entry ~name:"shard-handoff-n5" ~n:5
       ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:5 ~seed)
       ~bounds:(bounds ~preemptions:2 ()) ();
     (* The at-most-once retry/dedup/fence protocol (Renaming_service.Net_dedup):
        one request delivered several times, eviction fenced by the same
        settle lock the fresh execution commits through.  Grants live in
-       aux locks, so ownership checking is off; the property is that the
-       rid's name is returned by exactly one delivery across both dedup
-       epochs.  Post-DPOR addition, so no legacy baseline. *)
-    entry ~name:"net-dedup-n3" ~n:3 ~check_ownership:false
+       aux locks, so the spec hears only returns; the property is that
+       the rid's name is returned by exactly one delivery across both
+       dedup epochs.  Post-DPOR addition, so no legacy baseline. *)
+    entry ~name:"net-dedup-n3" ~n:3
       ~build:(fun ~seed -> Renaming_service.Net_dedup.instance ~n:3 ~seed)
       ~bounds:(bounds ~preemptions:4 ()) ();
-    entry ~name:"net-dedup-n4" ~n:4 ~check_ownership:false
+    entry ~name:"net-dedup-n4" ~n:4
       ~build:(fun ~seed -> Renaming_service.Net_dedup.instance ~n:4 ~seed)
       ~bounds:(bounds ~preemptions:3 ()) ();
     (* The grant/reclaim announce model (Renaming_refine.Grant_model):
@@ -139,7 +137,7 @@ let roster () =
        and recoveries included, which is exactly where the spec's
        crash-abandons-claims rule earns its keep.  Post-DPOR addition,
        so no legacy baseline. *)
-    entry ~name:"refine-grant-n2" ~n:2 ~check_ownership:false
+    entry ~name:"refine-grant-n2" ~n:2
       ~build:(fun ~seed -> grant_model ~n:2 ~seed)
       ~bounds:(bounds ~preemptions:3 ~crashes:1 ~recoveries:1 ()) ();
     (* Crash/recovery and transient-fault injection variants. *)
@@ -155,10 +153,10 @@ let roster () =
     entry ~name:"loose-geometric-n4-fault" ~n:4 ~baseline:207
       ~build:(fun ~seed -> loose_geometric ~n:4 ~seed)
       ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
-    entry ~name:"lease-handoff-n3-fault" ~n:3 ~check_ownership:false ~baseline:106
+    entry ~name:"lease-handoff-n3-fault" ~n:3 ~baseline:106
       ~build:(fun ~seed -> Renaming_service.Handoff.instance ~n:3 ~seed)
       ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
-    entry ~name:"shard-handoff-n3-fault" ~n:3 ~check_ownership:false ~baseline:269
+    entry ~name:"shard-handoff-n3-fault" ~n:3 ~baseline:269
       ~build:(fun ~seed -> Renaming_service.Shard_handoff.instance ~n:3 ~seed)
       ~bounds:(bounds ~preemptions:1 ~faults:1 ()) ();
   ]
@@ -177,21 +175,10 @@ let target e =
   {
     Mcheck.t_name = e.e_name;
     t_build = (fun () -> e.e_build ~seed:e.e_seed);
-    t_check_ownership = e.e_check_ownership;
   }
 
-let run_entry ?engine ?obs ?refine e =
-  let refine =
-    Option.map
-      (fun make ->
-        let namespace =
-          Renaming_sched.Memory.namespace
-            (e.e_build ~seed:e.e_seed).Renaming_sched.Executor.memory
-        in
-        fun () -> make ~name:e.e_name ~namespace)
-      refine
-  in
-  Mcheck.check ?engine ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ?refine (target e)
+let run_entry ?engine ?obs ~refine e =
+  Mcheck.check ?engine ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ~refine (target e)
 
 let repro_of_case e (c : Mcheck.case) =
   match c.Mcheck.v_shrunk with
@@ -202,7 +189,6 @@ let repro_of_case e (c : Mcheck.case) =
         Shrink.rp_algorithm = e.e_name;
         rp_n = e.e_n;
         rp_seed = e.e_seed;
-        rp_check_ownership = e.e_check_ownership;
         rp_max_ticks = e.e_bounds.Mcheck.b_max_ticks;
         rp_tau_cadence = 1;
         rp_kind = c.Mcheck.v_kind;
@@ -221,13 +207,3 @@ let builder ~name ~n =
     with
     | Some a -> Some a.Campaign.build
     | None -> Fuzz_roster.builder ~name ~n)
-
-let check_ownership_of ~name =
-  (* Handoff-protocol targets return a name they never TASed in the
-     namespace (the grant lives in aux registers), so ownership checking
-     would misfire; uniqueness is still checked. *)
-  let prefixed p = String.length name >= String.length p && String.sub name 0 (String.length p) = p in
-  not
-    (prefixed "lease-handoff" || prefixed "mutant-lease" || prefixed "shard-handoff"
-   || prefixed "mutant-shard" || prefixed "net-dedup" || prefixed "mutant-net"
-   || prefixed "refine-grant" || prefixed "mutant-refine")

@@ -12,7 +12,6 @@ type entry = {
   e_name : string;  (** unique roster key; goes into repro artifacts *)
   e_n : int;
   e_seed : int64;
-  e_check_ownership : bool;
   e_build : seed:int64 -> Renaming_sched.Executor.instance;
   e_bounds : Renaming_mcheck.Mcheck.bounds;
   e_baseline : int option;
@@ -35,14 +34,13 @@ val tier1 : unit -> entry list
 val run_entry :
   ?engine:Renaming_mcheck.Mcheck.engine ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(name:string -> namespace:int -> (Renaming_sched.Executor.event -> unit)) ->
+  refine:Renaming_faults.Monitor.refine ->
   entry ->
   Renaming_mcheck.Mcheck.stats
 (** [engine] defaults to [`Dpor]; the entry's frozen [e_baseline] is
-    threaded into the stats for reduction-ratio reporting.  [refine]
-    (the campaign-factory shape, applied to the entry's name and
-    namespace) attaches a fresh refinement checker to every explored
-    schedule — see {!Renaming_mcheck.Mcheck.check}. *)
+    threaded into the stats for reduction-ratio reporting.  [refine] is
+    the spec, applied to the entry's name on every explored schedule —
+    see {!Renaming_mcheck.Mcheck.check}. *)
 
 val repro_of_case :
   entry -> Renaming_mcheck.Mcheck.case -> Renaming_faults.Shrink.repro option
@@ -53,7 +51,3 @@ val builder :
 (** Resolve a repro artifact's algorithm name back to an instance
     builder: roster entries first (exact name and [n] match), then the
     chaos roster ({!Chaos.algorithms}) by algorithm name. *)
-
-val check_ownership_of : name:string -> bool
-(** Whether the named algorithm supports the monitor's ownership check
-    (true for every roster and chaos algorithm today). *)

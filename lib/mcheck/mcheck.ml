@@ -10,7 +10,6 @@ module Metrics = Renaming_obs.Metrics
 type target = {
   t_name : string;
   t_build : unit -> Executor.instance;
-  t_check_ownership : bool;
 }
 
 type engine = [ `Dpor | `Legacy_dfs ]
@@ -97,19 +96,7 @@ let notify acc (run : Directed.result) =
    the [--legacy-dfs] escape hatch for differential runs against the
    DPOR engine; its schedule enumeration must stay byte-identical. *)
 
-(* Compose the per-execution event hook: the monitor first (existing
-   violation kinds stay stable), then a fresh refinement checker when
-   one is attached. *)
-let monitored_hook ?refine monitor =
-  match refine with
-  | None -> Monitor.hook monitor
-  | Some make ->
-    let rhook = make () and mhook = Monitor.hook monitor in
-    fun ev ->
-      mhook ev;
-      rhook ev
-
-let check_legacy ?refine ~bounds ~acc target =
+let check_legacy ~refine ~bounds ~acc target =
   let schedules = acc.a_schedules in
   let points = acc.a_points in
   let slept = acc.a_pruned in
@@ -124,13 +111,10 @@ let check_legacy ?refine ~bounds ~acc target =
     if !schedules >= bounds.b_max_schedules then raise Capped;
     incr schedules;
     let inst = target.t_build () in
-    let monitor =
-      Monitor.create ~check_ownership:target.t_check_ownership ~memory:inst.Executor.memory
-        ~processes:(Array.length inst.Executor.programs) ()
-    in
+    let monitor = Monitor.create ~refine ~name:target.t_name inst in
     let run =
       Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:(List.length prefix)
-        ~on_event:(monitored_hook ?refine monitor) ~prefix inst
+        ~on_event:(Monitor.hook monitor) ~prefix inst
     in
     notify acc run;
     (match run.Directed.outcome with
@@ -294,7 +278,7 @@ let event_of_choice (pt : Directed.point) = function
 
 exception Budget_exceeded
 
-let check_dpor ?refine ~bounds ~acc target =
+let check_dpor ~refine ~bounds ~acc target =
   let path_rev = ref [] in
   (* path head = deepest node *)
   let depth = ref 0 in
@@ -408,13 +392,10 @@ let check_dpor ?refine ~bounds ~acc target =
         @ (match !path_rev with [] -> [] | nd :: _ -> leftmost nd.nd_next)
       in
       let inst = target.t_build () in
-      let monitor =
-        Monitor.create ~check_ownership:target.t_check_ownership ~memory:inst.Executor.memory
-          ~processes:(Array.length inst.Executor.programs) ()
-      in
+      let monitor = Monitor.create ~refine ~name:target.t_name inst in
       let run =
         Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:0
-          ?yield_rotate:bounds.b_yield_rotate ~on_event:(monitored_hook ?refine monitor)
+          ?yield_rotate:bounds.b_yield_rotate ~on_event:(Monitor.hook monitor)
           ~prefix inst
       in
       let livelocked =
@@ -552,7 +533,7 @@ let check_dpor ?refine ~bounds ~acc target =
 (* ------------------------------------------------------------------ *)
 
 let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_cases = 8)
-    ?baseline ?on_schedule ?obs ?refine target =
+    ?baseline ?on_schedule ?obs ~refine target =
   let schedules = ref 0 in
   let points = ref 0 in
   let races = ref 0 in
@@ -569,11 +550,10 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
       let shrunk =
         if not shrink then None
         else
-          Shrink.shrink ?extra:refine
+          Shrink.shrink ~refine
             {
               Shrink.label = target.t_name;
               build = target.t_build;
-              check_ownership = target.t_check_ownership;
               choices = prefix;
               max_ticks = bounds.b_max_ticks;
               tau_cadence = 1;
@@ -607,8 +587,8 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
   in
   let capped =
     match engine with
-    | `Legacy_dfs -> check_legacy ?refine ~bounds ~acc target
-    | `Dpor -> check_dpor ?refine ~bounds ~acc target
+    | `Legacy_dfs -> check_legacy ~refine ~bounds ~acc target
+    | `Dpor -> check_dpor ~refine ~bounds ~acc target
   in
   let stats =
     {

@@ -49,11 +49,10 @@
     {!Renaming_faults.Shrink} for 1-minimal counterexample reduction. *)
 
 type target = {
-  t_name : string;
+  t_name : string;  (** passed to the spec factory, which picks its adapter mode by name *)
   t_build : unit -> Renaming_sched.Executor.instance;
       (** fresh deterministic instance per call (exploration re-executes
           constantly) *)
-  t_check_ownership : bool;  (** see {!Renaming_faults.Monitor.create} *)
 }
 
 type engine = [ `Dpor | `Legacy_dfs ]
@@ -129,7 +128,7 @@ val check :
   ?baseline:int ->
   ?on_schedule:(Renaming_sched.Directed.choice array -> unit) ->
   ?obs:Renaming_obs.Obs.t ->
-  ?refine:(unit -> Renaming_sched.Executor.event -> unit) ->
+  refine:Renaming_faults.Monitor.refine ->
   target ->
   stats
 (** Exhaustively explores [target] within [bounds] using [engine]
@@ -146,13 +145,10 @@ val check :
     exploration itself never sees [obs], so the visited schedule space
     is identical either way.
 
-    [refine] builds one extra event hook per executed schedule (fresh
-    refinement-checker state each time), composed after the safety
-    monitor's hook at both engines and through shrinking replays; a
-    [Monitor.Violation] it raises registers like any other kind
-    (["refine:..."]).  On a violation-free target the visited schedule
-    space is identical with or without it (a violation aborts its
-    execution early, exactly as a monitor violation does). *)
+    [refine] is the spec: {!Renaming_faults.Monitor.create} applies it
+    to [t_name] once per executed schedule (fresh checker state each
+    time), at both engines and through shrinking replays; its
+    ["refine:..."] violations register like discipline kinds. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -60,16 +60,12 @@ let on_tas t (ev : Executor.event) =
       | _ -> Check.stutter t.check)
   | Crashed { pid; _ } -> feed t (Obs_event.Crashed { session = pid })
   | Recovered { pid; _ } -> feed t (Obs_event.Recovered { session = pid })
-  | Returned { pid; value = Some name; _ } -> (
+  | Returned { pid; value = Some name; _ } ->
       ensure_invoked t pid;
-      (* Returning a name the session TAS-won is a re-assertion of the
-         grant; returning one with no holder is the grant itself — the
-         device-admission algorithms (τ-slots) claim names the namespace
-         registers never see.  Either way, returning a name someone else
+      (* A paper algorithm returns only a name it TAS-won: the return
+         re-asserts that grant, and a name nobody (or somebody else)
          holds is inexplicable. *)
-      match Spec.holder (Check.spec t.check) ~name with
-      | Some h when h = pid -> feed t (Obs_event.Claimed { session = pid; name })
-      | _ -> feed t (Obs_event.Granted { session = pid; name }))
+      feed t (Obs_event.Claimed { session = pid; name })
   | Returned { value = None; _ } -> Check.stutter t.check
 
 let on_returns t (ev : Executor.event) =
@@ -105,5 +101,5 @@ let on_announce t (ev : Executor.event) =
 let hook t =
   match t.mode with Tas -> on_tas t | Returns -> on_returns t | Announce -> on_announce t
 
-let hook_for ?obs ~name ~namespace () =
+let hook_for ?obs () ~name ~namespace =
   hook (create ?obs ~mode:(mode_of_name name) ~namespace ())

@@ -20,8 +20,9 @@
 
     The checked property is global uniqueness of the returned name
     across both epochs; processes return names guarded by the aux locks
-    rather than namespace TAS, so ownership checking must be off (the
-    rosters' [check_ownership_of] handles this by prefix).
+    rather than namespace TAS, so the spec hears only the returns
+    ([Renaming_refine.Exec_adapter.mode_of_name] maps the [net-dedup]
+    and [mutant-net] prefixes to its [Returns] mode).
 
     {!instance_evict} is the seeded mutant: the evictor merely {e reads}
     the settle lock — evicting the dedup entry while a duplicate still

@@ -264,6 +264,20 @@ let test_permanent_crash_still_reported () =
   check Alcotest.(option int) "scanner avoids burnt name" (Some 1)
     report.Report.assignment.Assignment.names.(1)
 
+(* Every monitor carries the spec: the executor path's name oracle. *)
+let refine = Renaming_refine.Exec_adapter.hook_for ()
+
+(* A monitor over an instance whose programs never run, for synthetic
+   event feeds.  The name resolves the spec's extraction mode; the
+   default is a paper-algorithm ([Tas]) target. *)
+let synthetic_monitor ?(name = "synthetic") ~processes () =
+  Monitor.create ~refine ~name
+    {
+      Executor.memory = Memory.create ~namespace:2 ();
+      programs = Array.make processes (Program.return None);
+      label = name;
+    }
+
 let test_recovery_under_monitor () =
   (* Same recovery scenario with the monitor attached: no violation. *)
   let memory = Memory.create ~namespace:2 () in
@@ -274,74 +288,64 @@ let test_recovery_under_monitor () =
       label = "recovery-monitored";
     }
   in
-  let monitor = Monitor.create ~check_ownership:true ~memory ~processes:2 () in
+  let monitor = Monitor.create ~refine ~name:instance.Executor.label instance in
   let adversary =
     Adversary.with_crash_recovery ~base:(Adversary.round_robin ())
       ~crashes:[ (4, 0) ] ~recover_after:3
   in
-  let report = Executor.run ~on_event:(Monitor.hook monitor) ~adversary instance in
-  Monitor.finalize monitor report;
-  check Alcotest.int "no violations" 0 (Monitor.violation_count monitor)
+  match Monitor.finalize monitor (Executor.run ~on_event:(Monitor.hook monitor) ~adversary instance) with
+  | () -> ()
+  | exception Monitor.Violation { kind; message } -> Alcotest.failf "%s: %s" kind message
 
-(* --- monitor negative tests: seeded violations must be caught --- *)
+(* --- negative tests: seeded violations must be caught — name safety by
+   the spec the monitor carries, executor discipline by the monitor --- *)
 
-let expect_violation name f =
+let expect_kind name expected f =
   match f () with
-  | exception Monitor.Violation _ -> ()
+  | exception Monitor.Violation { kind; _ } -> check Alcotest.string name expected kind
   | _ -> Alcotest.failf "%s: expected Monitor.Violation" name
+
+(* Run [programs] round-robin under a spec-equipped monitor. *)
+let run_monitored programs () =
+  let instance =
+    { Executor.memory = Memory.create ~namespace:4 (); programs; label = "name-mutation" }
+  in
+  let monitor = Monitor.create ~refine ~name:instance.Executor.label instance in
+  Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance
 
 let test_monitor_catches_duplicate_name () =
   (* Mutation: both processes return name 0 (the second one lies). *)
-  let memory = Memory.create ~namespace:4 () in
   let liar =
     let* won = Program.tas_name 0 in
     ignore won;
     Program.return (Some 0)
   in
-  let instance = { Executor.memory; programs = [| liar; liar |]; label = "dup-mutation" } in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  expect_violation "duplicate name" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance);
-  check Alcotest.bool "violation recorded" true (Monitor.violation_count monitor > 0)
+  expect_kind "duplicate name" "refine:claim-unbacked" (run_monitored [| liar; liar |])
 
 let test_monitor_catches_out_of_range () =
-  let memory = Memory.create ~namespace:4 () in
-  let instance =
-    { Executor.memory; programs = [| Program.return (Some 99) |]; label = "range-mutation" }
-  in
-  let monitor = Monitor.create ~memory ~processes:1 () in
-  expect_violation "out of range" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance)
+  expect_kind "out of range" "refine:name-out-of-range"
+    (run_monitored [| Program.return (Some 99) |])
 
 let test_monitor_catches_unbacked_claim () =
-  (* The ownership check: returning a name whose register the process
-     never won. *)
-  let memory = Memory.create ~namespace:4 () in
-  let instance =
-    { Executor.memory; programs = [| Program.return (Some 2) |]; label = "ownership-mutation" }
-  in
-  let monitor = Monitor.create ~check_ownership:true ~memory ~processes:1 () in
-  expect_violation "unbacked claim" (fun () ->
-      Executor.run ~on_event:(Monitor.hook monitor) ~adversary:(Adversary.round_robin ()) instance)
+  (* Ownership: returning a name whose register the process never won. *)
+  expect_kind "unbacked claim" "refine:claim-unbacked"
+    (run_monitored [| Program.return (Some 2) |])
 
 let test_monitor_catches_step_after_crash () =
   (* Synthetic event feed: activity by a crashed process. *)
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
+  let monitor = synthetic_monitor ~processes:2 () in
   Monitor.hook monitor (Executor.Crashed { time = 0; pid = 1 });
-  expect_violation "step after crash" (fun () ->
+  expect_kind "step after crash" "step-after-crash" (fun () ->
       Monitor.hook monitor
         (Executor.Stepped { time = 1; pid = 1; op = Op.Tas_name 0; response = Op.Bool true }))
 
 let test_monitor_catches_recover_of_live () =
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
-  expect_violation "recover of live pid" (fun () ->
+  let monitor = synthetic_monitor ~processes:2 () in
+  expect_kind "recover of live pid" "recover-of-live" (fun () ->
       Monitor.hook monitor (Executor.Recovered { time = 0; pid = 0 }))
 
 let test_monitor_violation_carries_trace () =
-  let memory = Memory.create ~namespace:2 () in
-  let monitor = Monitor.create ~memory ~processes:2 () in
+  let monitor = synthetic_monitor ~processes:2 () in
   Monitor.hook monitor
     (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
   Monitor.hook monitor (Executor.Crashed { time = 1; pid = 0 });
@@ -361,23 +365,24 @@ let test_monitor_violation_carries_trace () =
 
 let test_monitor_violation_kinds () =
   (* Every check reports a stable machine-readable kind — the shrinker's
-     "same failure" oracle. *)
+     "same failure" oracle.  Name rows come from the spec. *)
   let kind_of f =
     match f () with
     | exception Monitor.Violation { kind; _ } -> kind
     | _ -> "no-violation"
   in
-  let fresh ?(check_ownership = true) () =
-    Monitor.create ~check_ownership ~memory:(Memory.create ~namespace:2 ()) ~processes:2 ()
-  in
-  check Alcotest.string "duplicate-name" "duplicate-name"
+  let fresh ?name () = synthetic_monitor ?name ~processes:2 () in
+  check Alcotest.string "duplicate name" "refine:claim-unbacked"
     (kind_of (fun () ->
-         (* Ownership checking off: the synthetic feed never touches the
-            registers, and unbacked-claim would otherwise fire first. *)
-         let m = fresh ~check_ownership:false () in
+         let m = fresh () in
          Monitor.hook m (Executor.Stepped { time = 0; pid = 0; op = Op.Tas_name 0; response = Op.Bool true });
          Monitor.hook m (Executor.Returned { time = 1; pid = 0; value = Some 0 });
          Monitor.hook m (Executor.Returned { time = 2; pid = 1; value = Some 0 })));
+  check Alcotest.string "duplicate name, returns mode" "refine:name-held"
+    (kind_of (fun () ->
+         let m = fresh ~name:"lease-handoff-n2" () in
+         Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 0 });
+         Monitor.hook m (Executor.Returned { time = 1; pid = 1; value = Some 0 })));
   check Alcotest.string "double-crash" "double-crash"
     (kind_of (fun () ->
          let m = fresh () in
@@ -387,11 +392,11 @@ let test_monitor_violation_kinds () =
     (kind_of (fun () ->
          let m = fresh () in
          Monitor.hook m (Executor.Recovered { time = 0; pid = 0 })));
-  check Alcotest.string "out-of-range-name" "out-of-range-name"
+  check Alcotest.string "out-of-range name" "refine:name-out-of-range"
     (kind_of (fun () ->
          let m = fresh () in
          Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 7 })));
-  check Alcotest.string "unbacked-claim" "unbacked-claim"
+  check Alcotest.string "unbacked claim" "refine:claim-unbacked"
     (kind_of (fun () ->
          let m = fresh () in
          Monitor.hook m (Executor.Returned { time = 0; pid = 0; value = Some 1 })))
@@ -438,7 +443,7 @@ let test_campaign_tier1_zero_violations () =
   let attached = ref 0 in
   let refine ~name ~namespace =
     incr attached;
-    Renaming_refine.Exec_adapter.hook_for ~name ~namespace ()
+    refine ~name ~namespace
   in
   let summary = Campaign.run ~refine (Chaos.tier1_spec ()) in
   check Alcotest.int "zero violations (monitor and refine:*)" 0 summary.Campaign.total_violations;
@@ -455,7 +460,7 @@ let test_campaign_livelock_not_ok () =
   let spec =
     { (Chaos.tier1_spec ()) with Campaign.max_ticks = 50; seeds = Renaming_harness.Seeds.take 1 }
   in
-  let summary = Campaign.run spec in
+  let summary = Campaign.run ~refine spec in
   check Alcotest.int "zero violations" 0 summary.Campaign.total_violations;
   check Alcotest.bool "livelocks recorded" true (summary.Campaign.total_livelocks > 0);
   check Alcotest.bool "not ok" false (Campaign.ok summary)
@@ -464,14 +469,14 @@ let test_campaign_deterministic () =
   let spec =
     { (Chaos.tier1_spec ()) with Campaign.fault_rates = [ 0.1 ]; seeds = Renaming_harness.Seeds.take 1 }
   in
-  let s1 = Campaign.run spec and s2 = Campaign.run spec in
+  let s1 = Campaign.run ~refine spec and s2 = Campaign.run ~refine spec in
   check Alcotest.string "identical json" (Campaign.to_json s1) (Campaign.to_json s2)
 
 let test_campaign_json_shape () =
   let spec =
     { (Chaos.tier1_spec ()) with Campaign.fault_rates = [ 0.05 ]; seeds = Renaming_harness.Seeds.take 1 }
   in
-  let json = Campaign.to_json (Campaign.run spec) in
+  let json = Campaign.to_json (Campaign.run ~refine spec) in
   let contains sub =
     let n = String.length json and m = String.length sub in
     let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
@@ -507,7 +512,6 @@ let broken_algorithm =
           programs = [| racy_claim; racy_claim |];
           label = "broken-double-claim";
         });
-    check_ownership = false;
   }
 
 let broken_spec =
@@ -524,11 +528,11 @@ let broken_spec =
 let test_campaign_autoshrinks_violations () =
   (* Round-robin interleaves the two reads, so the campaign must catch
      the duplicate claim and hand a 1-minimal repro back. *)
-  let summary = Campaign.run broken_spec in
+  let summary = Campaign.run ~refine broken_spec in
   check Alcotest.int "violation detected" 1 summary.Campaign.total_violations;
   match List.concat_map (fun c -> c.Campaign.c_repros) summary.Campaign.cells with
   | [ repro ] ->
-    check Alcotest.string "kind" "duplicate-name" repro.Shrink.rp_kind;
+    check Alcotest.string "kind" "refine:claim-unbacked" repro.Shrink.rp_kind;
     (* 1-minimal: one process reads, then the other is scheduled before
        the first TAS lands.  Two choices, no more. *)
     check Alcotest.int "minimal repro has two choices" 2 (List.length repro.Shrink.rp_choices);
@@ -537,18 +541,17 @@ let test_campaign_autoshrinks_violations () =
       {
         Shrink.label = "broken-double-claim";
         build = (fun () -> broken_algorithm.Campaign.build ~seed:repro.Shrink.rp_seed);
-        check_ownership = false;
         choices = repro.Shrink.rp_choices;
         max_ticks = 1_000;
         tau_cadence = 1;
       }
     in
     let replay () =
-      match Shrink.execute input repro.Shrink.rp_choices with
+      match Shrink.execute ~refine input repro.Shrink.rp_choices with
       | _, Some f -> f.Shrink.f_kind
       | _, None -> "no-failure"
     in
-    check Alcotest.string "replays to the violation" "duplicate-name" (replay ());
+    check Alcotest.string "replays to the violation" "refine:claim-unbacked" (replay ());
     check Alcotest.string "replay is deterministic" (replay ()) (replay ())
   | repros -> Alcotest.failf "expected exactly one repro, got %d" (List.length repros)
 
@@ -563,13 +566,12 @@ let test_shrink_none_when_input_passes () =
             programs = [| Program.scan_names ~first:0 ~count:2; Program.scan_names ~first:0 ~count:2 |];
             label = "clean";
           });
-      check_ownership = true;
       choices = [ Directed.Step 0; Directed.Step 1 ];
       max_ticks = 1_000;
       tau_cadence = 1;
     }
   in
-  check Alcotest.bool "no failure, no result" true (Shrink.shrink input = None)
+  check Alcotest.bool "no failure, no result" true (Shrink.shrink ~refine input = None)
 
 let test_repro_roundtrip () =
   let repro =
@@ -578,10 +580,9 @@ let test_repro_roundtrip () =
       rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 0x5EED_2015L;
-      rp_check_ownership = true;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 2;
-      rp_kind = "duplicate-name";
+      rp_kind = "refine:claim-unbacked";
       rp_choices = [ Directed.Step 0; Directed.Fault 2; Directed.Crash 1; Directed.Recover 1 ];
     }
   in
@@ -590,7 +591,6 @@ let test_repro_roundtrip () =
     check Alcotest.string "algorithm" repro.Shrink.rp_algorithm r.Shrink.rp_algorithm;
     check Alcotest.int "n" repro.Shrink.rp_n r.Shrink.rp_n;
     check Alcotest.bool "seed" true (Int64.equal repro.Shrink.rp_seed r.Shrink.rp_seed);
-    check Alcotest.bool "ownership" repro.Shrink.rp_check_ownership r.Shrink.rp_check_ownership;
     check Alcotest.int "max-ticks" repro.Shrink.rp_max_ticks r.Shrink.rp_max_ticks;
     check Alcotest.int "tau-cadence" repro.Shrink.rp_tau_cadence r.Shrink.rp_tau_cadence;
     check Alcotest.string "kind" repro.Shrink.rp_kind r.Shrink.rp_kind;
@@ -626,10 +626,9 @@ let test_repro_condensed_roundtrip () =
       rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 7L;
-      rp_check_ownership = false;
       rp_max_ticks = 50_000;
       rp_tau_cadence = 1;
-      rp_kind = "duplicate-name";
+      rp_kind = "refine:claim-unbacked";
       rp_choices =
         [
           Directed.Step 0; Directed.Step 0; Directed.Step 1; Directed.Fault 1;
@@ -652,10 +651,12 @@ let test_repro_condensed_roundtrip () =
 
 (* A pre-existing artifact from results/repros/, embedded verbatim: the
    shard-handoff mutant's shrunk counterexample as the fuzzer wrote it
-   before the trace-format header existed.  It must parse (defaulting to
-   the legacy choices body), replay to the same violation against the
-   roster-rebuilt instance, and survive re-serialisation in the
-   condensed format. *)
+   before the trace-format header existed, and while the monitor still
+   checked names itself (the retired [check-ownership] header and the
+   retired [duplicate-name] kind).  It must parse (defaulting to the
+   legacy choices body), replay against the roster-rebuilt instance to
+   the same double grant — now named by the spec — and survive
+   re-serialisation in the condensed format. *)
 let preexisting_artifact =
   "algorithm: mutant-shard-unfenced-handoff\n\
    n: 3\n\
@@ -677,14 +678,13 @@ let test_repro_preexisting_artifact_replays () =
         {
           Shrink.label = r.Shrink.rp_algorithm;
           build = (fun () -> build ~seed:r.Shrink.rp_seed);
-          check_ownership = r.Shrink.rp_check_ownership;
           choices = r.Shrink.rp_choices;
           max_ticks = r.Shrink.rp_max_ticks;
           tau_cadence = r.Shrink.rp_tau_cadence;
         }
       in
-      (match Shrink.execute input r.Shrink.rp_choices with
-      | _, Some f -> check Alcotest.string "replays to the same kind" r.Shrink.rp_kind f.Shrink.f_kind
+      (match Shrink.execute ~refine input r.Shrink.rp_choices with
+      | _, Some f -> check Alcotest.string "replays to the double grant" "refine:name-held" f.Shrink.f_kind
       | _, None -> Alcotest.fail "pre-existing artifact no longer reproduces")
   in
   match Shrink.repro_of_string preexisting_artifact with

@@ -16,6 +16,9 @@ module Xoshiro = Renaming_rng.Xoshiro
 
 let check = Alcotest.check
 
+(* Every campaign carries the spec: the executor path's name oracle. *)
+let refine = Renaming_refine.Exec_adapter.hook_for ()
+
 (* --- PCT adversary --- *)
 
 let view ?(time = 0) ~memory runnable =
@@ -202,7 +205,7 @@ let test_corpus_pick_and_mutate () =
 (* --- the campaign over the seeded-mutant roster --- *)
 
 let test_fuzzer_finds_all_mutants () =
-  let summary = Fuzz.run ~seed:1L ~iterations:200 (Fuzz_roster.mutants ()) in
+  let summary = Fuzz.run ~refine ~seed:1L ~iterations:200 (Fuzz_roster.mutants ()) in
   check Alcotest.bool "campaign ok" true (Fuzz.ok summary);
   List.iter
     (fun r ->
@@ -217,7 +220,7 @@ let test_fuzzer_repros_replay () =
   (* Every shrunk artifact must reproduce its violation when replayed
      through the directed executor against a roster-rebuilt instance —
      the same path `renaming shrink` takes. *)
-  let summary = Fuzz.run ~seed:1L ~iterations:200 (Fuzz_roster.mutants ()) in
+  let summary = Fuzz.run ~refine ~seed:1L ~iterations:200 (Fuzz_roster.mutants ()) in
   let repros = Fuzz.repros summary in
   check Alcotest.int "one repro per mutant"
     (List.length (Fuzz_roster.mutants ()))
@@ -231,13 +234,12 @@ let test_fuzzer_repros_replay () =
           {
             Shrink.label = r.Shrink.rp_algorithm;
             build = (fun () -> build ~seed:r.Shrink.rp_seed);
-            check_ownership = r.Shrink.rp_check_ownership;
             choices = r.Shrink.rp_choices;
             max_ticks = r.Shrink.rp_max_ticks;
             tau_cadence = r.Shrink.rp_tau_cadence;
           }
         in
-        (match Shrink.execute input r.Shrink.rp_choices with
+        (match Shrink.execute ~refine input r.Shrink.rp_choices with
         | _, Some f ->
           check Alcotest.string (r.Shrink.rp_algorithm ^ " kind") r.Shrink.rp_kind
             f.Shrink.f_kind
@@ -248,7 +250,6 @@ let test_fuzzer_clean_targets_stay_clean () =
   let clean =
     List.filter (fun t -> t.Fuzz.fz_name = "linear-scan-n4") (Fuzz_roster.clean ())
   in
-  let refine ~name ~namespace = Renaming_refine.Exec_adapter.hook_for ~name ~namespace () in
   let summary = Fuzz.run ~refine ~seed:7L ~iterations:120 clean in
   check Alcotest.bool "clean campaign ok (monitor and refine:*)" true (Fuzz.ok summary);
   List.iter
@@ -257,11 +258,11 @@ let test_fuzzer_clean_targets_stay_clean () =
     summary.Fuzz.s_results
 
 let test_fuzzer_deterministic () =
-  let run () = Fuzz.to_json (Fuzz.run ~seed:42L ~iterations:60 (Fuzz_roster.mutants ())) in
+  let run () = Fuzz.to_json (Fuzz.run ~refine ~seed:42L ~iterations:60 (Fuzz_roster.mutants ())) in
   check Alcotest.string "same seed, same campaign" (run ()) (run ())
 
 let test_fuzzer_coverage_grows () =
-  let summary = Fuzz.run ~seed:1L ~iterations:40 (Fuzz_roster.clean ()) in
+  let summary = Fuzz.run ~refine ~seed:1L ~iterations:40 (Fuzz_roster.clean ()) in
   List.iter
     (fun r ->
       check Alcotest.bool (r.Fuzz.r_target ^ " has coverage") true (r.Fuzz.r_edges > 0);
@@ -285,7 +286,7 @@ let contains haystack needle =
   at 0
 
 let test_fuzz_json_shape () =
-  let summary = Fuzz.run ~seed:1L ~iterations:40 (Fuzz_roster.mutants ()) in
+  let summary = Fuzz.run ~refine ~seed:1L ~iterations:40 (Fuzz_roster.mutants ()) in
   let json = Fuzz.to_json summary in
   List.iter
     (fun needle -> check Alcotest.bool ("json mentions " ^ needle) true (contains json needle))

@@ -23,8 +23,10 @@ open Program.Syntax
 
 let instance ~namespace ~label programs = { Executor.memory = Memory.create ~namespace (); programs; label }
 
-let target ?(check_ownership = false) ~label build =
-  { Mcheck.t_name = label; t_build = build; t_check_ownership = check_ownership }
+let target ~label build = { Mcheck.t_name = label; t_build = build }
+
+(* Every exploration carries the spec: the executor path's name oracle. *)
+let refine = Renaming_refine.Exec_adapter.hook_for ()
 
 let bounds ?(preemptions = 2) ?(crashes = 0) ?(recoveries = 0) ?(faults = 0) ?(sleep = true) () =
   {
@@ -118,7 +120,7 @@ let test_schedule_counts_match_enumeration () =
       List.iter
         (fun sleep ->
           let stats =
-            Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions ~sleep ())
+            Mcheck.check ~refine ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions ~sleep ())
               conflict_target
           in
           check Alcotest.int
@@ -130,7 +132,7 @@ let test_schedule_counts_match_enumeration () =
       (* ...and source-DPOR must land on exactly the same analytic
          vector: with every operation pair dependent there is nothing to
          reduce, only races to reverse within the preemption budget. *)
-      let stats = Mcheck.check ~bounds:(bounds ~preemptions ()) conflict_target in
+      let stats = Mcheck.check ~refine ~bounds:(bounds ~preemptions ()) conflict_target in
       check Alcotest.int
         (Printf.sprintf "dpor bound %d" preemptions)
         expected stats.Mcheck.s_schedules;
@@ -142,22 +144,24 @@ let test_schedule_counts_match_enumeration () =
 let disjoint_target =
   (* p0 touches registers {0,2}, p1 touches {1,3}: every pair of
      operations commutes, so of the 6 interleavings only the
-     Mazurkiewicz representatives need exploring. *)
+     Mazurkiewicz representatives need exploring.  Each process wins at
+     most one name (TAS, then a read), as the spec's one-shot rule
+     requires. *)
   let p0 =
     let* _ = Program.tas_name 0 in
-    let* _ = Program.tas_name 2 in
+    let* _ = Program.read_name 2 in
     Program.return None
   in
   let p1 =
     let* _ = Program.tas_name 1 in
-    let* _ = Program.tas_name 3 in
+    let* _ = Program.read_name 3 in
     Program.return None
   in
   target ~label:"disjoint" (fun () -> instance ~namespace:4 ~label:"disjoint" [| p0; p1 |])
 
 let test_sleep_sets_prune_but_stay_sound () =
   let legacy sleep =
-    Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:2 ~sleep ()) disjoint_target
+    Mcheck.check ~refine ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:2 ~sleep ()) disjoint_target
   in
   let with_sleep = legacy true in
   let without = legacy false in
@@ -169,7 +173,7 @@ let test_sleep_sets_prune_but_stay_sound () =
   check Alcotest.int "no violations without sleep" 0 without.Mcheck.s_violations;
   (* Fully independent processes have no races at all, so source-DPOR
      explores exactly one schedule: the initial execution. *)
-  let dpor = Mcheck.check ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
+  let dpor = Mcheck.check ~refine ~bounds:(bounds ~preemptions:2 ()) disjoint_target in
   check Alcotest.int "dpor explores a single representative" 1 dpor.Mcheck.s_schedules;
   check Alcotest.int "dpor detects no races" 0 dpor.Mcheck.s_races;
   check Alcotest.int "no violations (dpor)" 0 dpor.Mcheck.s_violations
@@ -192,7 +196,7 @@ let broken_target =
 let test_mcheck_finds_and_shrinks_double_claim () =
   List.iter
     (fun engine ->
-      let stats = Mcheck.check ~engine ~bounds:(bounds ~preemptions:2 ()) broken_target in
+      let stats = Mcheck.check ~refine ~engine ~bounds:(bounds ~preemptions:2 ()) broken_target in
       check Alcotest.bool
         (Printf.sprintf "violations found (%s)" (Mcheck.engine_name engine))
         true
@@ -200,32 +204,31 @@ let test_mcheck_finds_and_shrinks_double_claim () =
       match stats.Mcheck.s_cases with
       | [] -> Alcotest.fail "no case recorded"
       | c :: _ -> (
-        check Alcotest.string "kind" "duplicate-name" c.Mcheck.v_kind;
+        check Alcotest.string "kind" "refine:claim-unbacked" c.Mcheck.v_kind;
         match c.Mcheck.v_shrunk with
         | None -> Alcotest.fail "violation was not shrunk"
         | Some r ->
           (* 1-minimal: read of one process, then a context switch to
              the other's read.  Exactly two choices. *)
           check Alcotest.int "minimal counterexample" 2 (List.length r.Shrink.r_choices);
-          check Alcotest.string "same failure after shrinking" "duplicate-name"
+          check Alcotest.string "same failure after shrinking" "refine:claim-unbacked"
             r.Shrink.r_failure.Shrink.f_kind;
           (* The minimal trace replays deterministically. *)
           let input =
             {
               Shrink.label = "broken-double-claim";
               build = broken_target.Mcheck.t_build;
-              check_ownership = false;
               choices = r.Shrink.r_choices;
               max_ticks = 1_000;
               tau_cadence = 1;
             }
           in
           let kind () =
-            match Shrink.execute input r.Shrink.r_choices with
+            match Shrink.execute ~refine input r.Shrink.r_choices with
             | _, Some f -> f.Shrink.f_kind
             | _, None -> "no-failure"
           in
-          check Alcotest.string "replays" "duplicate-name" (kind ());
+          check Alcotest.string "replays" "refine:claim-unbacked" (kind ());
           check Alcotest.string "deterministically" (kind ()) (kind ())))
     [ `Dpor; `Legacy_dfs ]
 
@@ -238,19 +241,19 @@ let fault_claimer =
   Program.return (Some 0)
 
 let fault_target =
-  target ~check_ownership:true ~label:"fault-claimer" (fun () ->
+  target ~label:"fault-claimer" (fun () ->
       instance ~namespace:1 ~label:"fault-claimer" [| fault_claimer |])
 
 let test_mcheck_fault_injection_finds_unbacked_claim () =
   (* Without a fault budget the instance is clean... *)
-  let clean = Mcheck.check ~bounds:(bounds ~preemptions:1 ()) fault_target in
+  let clean = Mcheck.check ~refine ~bounds:(bounds ~preemptions:1 ()) fault_target in
   check Alcotest.int "fault-free: no violations" 0 clean.Mcheck.s_violations;
   (* ...with one injectable fault the checker must find the unbacked
      claim and shrink it to the single Fault decision. *)
-  let stats = Mcheck.check ~bounds:(bounds ~preemptions:1 ~faults:1 ()) fault_target in
+  let stats = Mcheck.check ~refine ~bounds:(bounds ~preemptions:1 ~faults:1 ()) fault_target in
   check Alcotest.bool "violation found" true (stats.Mcheck.s_violations > 0);
   match stats.Mcheck.s_cases with
-  | { Mcheck.v_kind = "unbacked-claim"; v_shrunk = Some r; _ } :: _ ->
+  | { Mcheck.v_kind = "refine:claim-unbacked"; v_shrunk = Some r; _ } :: _ ->
     check Alcotest.bool "minimal trace is the single fault" true
       (r.Shrink.r_choices = [ Directed.Fault 0 ])
   | c :: _ -> Alcotest.failf "unexpected first case kind %s" c.Mcheck.v_kind
@@ -260,12 +263,12 @@ let test_mcheck_fault_injection_finds_unbacked_claim () =
 
 let test_mcheck_crash_recovery_clean () =
   let scans =
-    target ~check_ownership:true ~label:"scan-crash" (fun () ->
+    target ~label:"scan-crash" (fun () ->
         instance ~namespace:2 ~label:"scan-crash"
           [| Program.scan_names ~first:0 ~count:2; Program.scan_names ~first:0 ~count:2 |])
   in
-  let pure = Mcheck.check ~bounds:(bounds ~preemptions:1 ()) scans in
-  let crashy = Mcheck.check ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ()) scans in
+  let pure = Mcheck.check ~refine ~bounds:(bounds ~preemptions:1 ()) scans in
+  let crashy = Mcheck.check ~refine ~bounds:(bounds ~preemptions:1 ~crashes:1 ~recoveries:1 ()) scans in
   check Alcotest.int "pure schedules clean" 0 pure.Mcheck.s_violations;
   check Alcotest.int "crash/recovery schedules clean" 0 crashy.Mcheck.s_violations;
   check Alcotest.bool "crash decisions widen the tree" true
@@ -427,7 +430,7 @@ let test_dpor_schedules_unique () =
         in
         if Hashtbl.mem seen key then incr dups else Hashtbl.add seen key ();
       in
-      let stats = Mcheck.check ~bounds:b ~shrink:false ~on_schedule tgt in
+      let stats = Mcheck.check ~refine ~bounds:b ~shrink:false ~on_schedule tgt in
       check Alcotest.int (label ^ ": no schedule revisited") 0 !dups;
       check Alcotest.int
         (label ^ ": every counted schedule distinct")
@@ -490,10 +493,10 @@ let qcheck_engine_differential =
               [| build_proc spec0; build_proc spec1 |])
       in
       let b = bounds ~preemptions:10 () in
-      let dpor = Mcheck.check ~engine:`Dpor ~bounds:b ~shrink:false tgt in
-      let legacy = Mcheck.check ~engine:`Legacy_dfs ~bounds:b ~shrink:false tgt in
+      let dpor = Mcheck.check ~refine ~engine:`Dpor ~bounds:b ~shrink:false tgt in
+      let legacy = Mcheck.check ~refine ~engine:`Legacy_dfs ~bounds:b ~shrink:false tgt in
       let unpruned =
-        Mcheck.check ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:10 ~sleep:false ())
+        Mcheck.check ~refine ~engine:`Legacy_dfs ~bounds:(bounds ~preemptions:10 ~sleep:false ())
           ~shrink:false tgt
       in
       if (dpor.Mcheck.s_violations > 0) <> (legacy.Mcheck.s_violations > 0) then
@@ -507,7 +510,6 @@ let qcheck_engine_differential =
 (* --- the roster --- *)
 
 let test_roster_tier1_clean () =
-  let refine ~name ~namespace = Renaming_refine.Exec_adapter.hook_for ~name ~namespace () in
   List.iter
     (fun e ->
       let stats = Roster.run_entry ~refine e in
@@ -523,7 +525,7 @@ let test_roster_deterministic_json () =
   match Roster.tier1 () with
   | [] -> Alcotest.fail "empty tier-1 roster"
   | e :: _ ->
-    let go () = Mcheck.to_json [ Roster.run_entry e ] in
+    let go () = Mcheck.to_json [ Roster.run_entry ~refine e ] in
     check Alcotest.string "identical stats json" (go ()) (go ())
 
 let test_roster_builder_resolves () =

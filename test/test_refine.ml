@@ -308,12 +308,20 @@ let test_tas_adapter_clean_run () =
   check Alcotest.bool "grants stepped the spec" true (Check.steps c >= 3);
   check Alcotest.int "everything granted is still held" 3 (Spec.held (Check.spec c))
 
+let test_tas_adapter_rejects_unheld_return () =
+  (* A paper algorithm returns only a name it TAS-won, so a return of a
+     name nobody holds is an unbacked claim — not a grant. *)
+  let adapter = Exec_adapter.create ~mode:Exec_adapter.Tas ~namespace:4 () in
+  match Exec_adapter.hook adapter (Executor.Returned { time = 0; pid = 0; value = Some 2 }) with
+  | exception Renaming_faults.Monitor.Violation { kind; _ } ->
+      check Alcotest.string "kind" "refine:claim-unbacked" kind
+  | () -> Alcotest.fail "a return of a name nobody holds was accepted"
+
 let test_observation_changes_nothing_executor () =
   let bare = Executor.run ~adversary:(Adversary.round_robin ()) (linear_scan ~n:4) in
   let inst = linear_scan ~n:4 in
   let hook =
-    Exec_adapter.hook_for ~name:"linear-scan-n4" ~namespace:(Memory.namespace inst.Executor.memory)
-      ()
+    Exec_adapter.hook_for () ~name:"linear-scan-n4" ~namespace:(Memory.namespace inst.Executor.memory)
   in
   let observed = Executor.run ~adversary:(Adversary.round_robin ()) ~on_event:hook inst in
   check Alcotest.bool "identical report" true (bare = observed)
@@ -397,8 +405,10 @@ let test_observation_changes_nothing_service () =
 (* --- the seeded spec-divergence mutant --- *)
 
 let test_refine_mutant_caught_and_shrunk () =
-  let refine ~name ~namespace = Exec_adapter.hook_for ~name ~namespace () in
-  let summary = Fuzz.run ~refine ~seed:1L ~iterations:50 (Fuzz_roster.refine_mutants ()) in
+  let regrant =
+    List.filter (fun t -> t.Fuzz.fz_name = "mutant-refine-regrant") (Fuzz_roster.mutants ())
+  in
+  let summary = Fuzz.run ~refine:(Exec_adapter.hook_for ()) ~seed:1L ~iterations:50 regrant in
   check Alcotest.bool "fuzz campaign ok (mutant found, shrunk)" true (Fuzz.ok summary);
   let v =
     match List.concat_map (fun r -> r.Fuzz.r_violations) summary.Fuzz.s_results with
@@ -438,6 +448,8 @@ let tests =
         QCheck_alcotest.to_alcotest qcheck_spec_session_symmetry;
         Alcotest.test_case "exec adapter: mode resolution" `Quick test_mode_of_name;
         Alcotest.test_case "exec adapter: clean tas run refines" `Quick test_tas_adapter_clean_run;
+        Alcotest.test_case "exec adapter: tas return of an unheld name rejected" `Quick
+          test_tas_adapter_rejects_unheld_return;
         Alcotest.test_case "exec adapter: observation changes nothing" `Quick
           test_observation_changes_nothing_executor;
         Alcotest.test_case "announce model: clean under fair schedules" `Quick
