@@ -70,17 +70,25 @@ chaos-net:
 chaos-net-smoke:
 	dune exec bin/main.exe -- chaos --backend net --sessions 2000 --seeds 2 --out results/chaos-net-smoke.json
 
-# The deterministic allocation and schedule gates: one 5-second run of
-# two benchmark workloads (seed 1), each failing unless the run is
+# The deterministic allocation and structure gates: one 5-second run of
+# each benchmark workload (seed 1), each failing unless the run is
 # correct and within its bounds.  Allocated words per operation repeat
 # exactly for a seed, so unlike wall-clock throughput the bounds hold
 # on any machine.
 #   net-faulty:       at most 3000 words per session.
+#   lease-saturated:  at most 439 words per session (418.2 measured,
+#                     plus 5%): the saturated lease path, where most
+#                     pumps find nothing to do and must allocate nothing.
 #   oneshot-adaptive: at most 750 words per name, and steps_max (the
 #                     paper's step complexity over the pinned episodes,
-#                     read from the figures line) exactly 86, which
-#                     pins the adaptive adversary's schedule.
+#                     read from the figures line) exactly 86.  That is
+#                     Tight's n=256 maximum, which is structurally fixed
+#                     while every block is saturated (the same for every
+#                     seed and adversary, see the ROADMAP probe table),
+#                     so it guards Tight's structure; it does not pin
+#                     the adaptive adversary's schedule.
 PERF_SMOKE_MAX_WORDS = 3000
+PERF_SMOKE_LEASE_MAX_WORDS = 439
 PERF_SMOKE_ONESHOT_MAX_WORDS = 750
 PERF_SMOKE_ONESHOT_STEPS_MAX = 86
 
@@ -91,6 +99,12 @@ perf-smoke:
 	    w = r["metrics"]["alloc_words_per_op"]["value"]; \
 	    print("perf-smoke net-faulty: correct=%s alloc_words_per_op=%.1f (bound %d)" % (r["correct"], w, $(PERF_SMOKE_MAX_WORDS))); \
 	    sys.exit(0 if r["correct"] and w <= $(PERF_SMOKE_MAX_WORDS) else 1)'
+	python3 perfbench/run.py --workload lease-saturated --seed 1 --seconds 5 --trace 0 \
+	  | python3 -c 'import json, sys; \
+	    r = json.loads(sys.stdin.read().strip().splitlines()[-1]); \
+	    w = r["metrics"]["alloc_words_per_op"]["value"]; \
+	    print("perf-smoke lease-saturated: correct=%s alloc_words_per_op=%.1f (bound %d)" % (r["correct"], w, $(PERF_SMOKE_LEASE_MAX_WORDS))); \
+	    sys.exit(0 if r["correct"] and w <= $(PERF_SMOKE_LEASE_MAX_WORDS) else 1)'
 	python3 perfbench/run.py --workload oneshot-adaptive --seed 1 --seconds 5 --trace 0 \
 	  | python3 -c 'import json, sys; \
 	    lines = sys.stdin.read().strip().splitlines(); \

@@ -2,33 +2,48 @@ type config = { namespace : int; one_shot : bool }
 
 type session = { mutable invoked : bool; mutable crashed : bool; mutable holds : int list }
 
+module Sessions = Hashtbl.Make (Int)
+
+(* Session ids are non-negative, so -1 can mark a free name. *)
+let free = -1
+
 type t = {
   cfg : config;
-  holders : (int, int) Hashtbl.t;  (* name -> session *)
-  sessions : (int, session) Hashtbl.t;
+  holders : int array;  (* name -> session, or [free] *)
+  mutable n_held : int;
+  sessions : session Sessions.t;
 }
 
 let create cfg =
   if cfg.namespace <= 0 then invalid_arg "Spec.create: namespace must be positive";
-  { cfg; holders = Hashtbl.create 64; sessions = Hashtbl.create 64 }
+  { cfg; holders = Array.make cfg.namespace free; n_held = 0; sessions = Sessions.create 64 }
 
 let config t = t.cfg
 
 type verdict = [ `Step | `Stutter | `Reject of string ]
 
 let session t id =
-  match Hashtbl.find_opt t.sessions id with
-  | Some s -> s
-  | None ->
+  match Sessions.find t.sessions id with
+  | s -> s
+  | exception Not_found ->
       let s = { invoked = false; crashed = false; holds = [] } in
-      Hashtbl.replace t.sessions id s;
+      Sessions.replace t.sessions id s;
       s
 
-let holder t ~name = Hashtbl.find_opt t.holders name
-
-let held t = Hashtbl.length t.holders
-
 let in_range t name = name >= 0 && name < t.cfg.namespace
+
+let holder t ~name =
+  if in_range t name && t.holders.(name) <> free then Some t.holders.(name) else None
+
+let held t = t.n_held
+
+(* Whether session [id] holds [name]: false outside the namespace, on a
+   free name, and for any id that is not a valid (non-negative) one. *)
+let held_by t ~name id = id >= 0 && in_range t name && t.holders.(name) = id
+
+let set_free t name =
+  t.holders.(name) <- free;
+  t.n_held <- t.n_held - 1
 
 let apply t (ev : Obs_event.t) : verdict =
   match ev with
@@ -41,47 +56,42 @@ let apply t (ev : Obs_event.t) : verdict =
         `Step)
   | Granted { session = id; name } ->
       if not (in_range t name) then `Reject "name-out-of-range"
+      else if id < 0 then `Reject "session-out-of-range"
       else
         let s = session t id in
         if s.crashed then `Reject "grant-while-crashed"
+        else if t.holders.(name) = id then
+          (* Re-announcing a grant the session already holds:
+             recovery re-discovery, handoff adoption, retransmit. *)
+          `Stutter
+        else if t.holders.(name) <> free then `Reject "name-held"
+        else if t.cfg.one_shot && not s.invoked then `Reject "grant-without-invoke"
+        else if t.cfg.one_shot && s.holds <> [] then `Reject "double-hold"
         else (
-          match holder t ~name with
-          | Some h when h = id ->
-              (* Re-announcing a grant the session already holds:
-                 recovery re-discovery, handoff adoption, retransmit. *)
-              `Stutter
-          | Some _ -> `Reject "name-held"
-          | None ->
-              if t.cfg.one_shot && not s.invoked then `Reject "grant-without-invoke"
-              else if t.cfg.one_shot && s.holds <> [] then `Reject "double-hold"
-              else (
-                Hashtbl.replace t.holders name id;
-                s.holds <- name :: s.holds;
-                `Step))
+          t.holders.(name) <- id;
+          t.n_held <- t.n_held + 1;
+          s.holds <- name :: s.holds;
+          `Step)
   | Claimed { session = id; name } ->
       if not (in_range t name) then `Reject "name-out-of-range"
+      else if held_by t ~name id then `Stutter
+      else `Reject "claim-unbacked"
+  | Released { session = id; name } ->
+      if not (held_by t ~name id) then `Reject "release-not-holder"
       else (
-        match holder t ~name with
-        | Some h when h = id -> `Stutter
-        | Some _ | None -> `Reject "claim-unbacked")
-  | Released { session = id; name } -> (
-      match holder t ~name with
-      | Some h when h = id ->
-          Hashtbl.remove t.holders name;
-          let s = session t id in
-          s.holds <- List.filter (fun n -> n <> name) s.holds;
-          `Step
-      | Some _ | None -> `Reject "release-not-holder")
-  | Reclaimed { session = id; name } -> (
-      match holder t ~name with
-      | Some h when h = id ->
-          Hashtbl.remove t.holders name;
-          let s = session t id in
-          s.holds <- List.filter (fun n -> n <> name) s.holds;
-          (* The reclaimed party must ask again before being granted. *)
-          if t.cfg.one_shot then s.invoked <- false;
-          `Step
-      | Some _ | None -> `Reject "reclaim-not-holder")
+        set_free t name;
+        let s = session t id in
+        s.holds <- List.filter (fun n -> n <> name) s.holds;
+        `Step)
+  | Reclaimed { session = id; name } ->
+      if not (held_by t ~name id) then `Reject "reclaim-not-holder"
+      else (
+        set_free t name;
+        let s = session t id in
+        s.holds <- List.filter (fun n -> n <> name) s.holds;
+        (* The reclaimed party must ask again before being granted. *)
+        if t.cfg.one_shot then s.invoked <- false;
+        `Step)
   | Crashed { session = id } ->
       let s = session t id in
       if s.crashed then `Reject "double-crash"
@@ -110,18 +120,16 @@ let apply t (ev : Obs_event.t) : verdict =
 
 let snapshot t =
   let buf = Buffer.create 128 in
-  let holders =
-    Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.holders []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
   Buffer.add_string buf "holders:";
-  List.iter (fun (name, s) -> Buffer.add_string buf (Printf.sprintf " %d->s%d" name s)) holders;
+  Array.iteri
+    (fun name s -> if s <> free then Buffer.add_string buf (Printf.sprintf " %d->s%d" name s))
+    t.holders;
   let sessions =
     (* A default record (never invoked, live, holding nothing) is
        indistinguishable from an absent one; lookups create them
        lazily, so rendering them would make rejected events look like
        state changes. *)
-    Hashtbl.fold
+    Sessions.fold
       (fun id s acc -> if s.invoked || s.crashed || s.holds <> [] then (id, s) :: acc else acc)
       t.sessions []
     |> List.sort (fun (a, _) (b, _) -> compare a b)

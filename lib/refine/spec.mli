@@ -10,6 +10,10 @@
       the name;
     - {b namespace-bound}: [Granted]/[Claimed] are disabled outside
       [0, namespace);
+    - {b session ids}: [Granted] is disabled for a negative session id
+      ([session-out-of-range]).  Every backend numbers its sessions
+      from 0 (pids, minted ids), and the holder table marks a free
+      name with -1, so no valid id can be mistaken for a free slot;
     - {b fencing}: [Released]/[Reclaimed]/[Claimed] are disabled unless
       the named session actually holds the name — an {e accepted}
       operation on a name the session does not hold is exactly the
@@ -23,6 +27,10 @@
       still inexplicable, and the recovered session re-discovering its
       old name is a stutter), but the recovered re-run may win a fresh
       name without tripping the one-claim rule.
+
+    The state is flat: holders in an [int array] over the namespace,
+    sessions in an [Int]-keyed table, so applying an event hashes
+    nothing polymorphically.
 
     A backend trace refines the spec iff every adapted event is either
     an enabled transition ([`Step]), or changes nothing ([`Stutter]).

@@ -33,22 +33,16 @@ let offer t ~session ~now ~utilization =
     Ok ticket
   end
 
-type expired = { x_ticket : int; x_session : int; x_waited : float }
+let head_expired t ~now =
+  (not (Queue.is_empty t.queue)) && now -. (Queue.peek t.queue).w_enqueued > t.cfg.request_timeout
 
-let expire t ~now =
-  let rec drain acc =
-    match Queue.peek_opt t.queue with
-    | Some w when now -. w.w_enqueued > t.cfg.request_timeout ->
-      ignore (Queue.pop t.queue);
-      t.expired_total <- t.expired_total + 1;
-      drain ({ x_ticket = w.w_ticket; x_session = w.w_session; x_waited = now -. w.w_enqueued } :: acc)
-    | _ -> List.rev acc
-  in
-  drain []
+let pop t =
+  if Queue.is_empty t.queue then invalid_arg "Admission.pop: empty queue";
+  Queue.take t.queue
+
+let pop_expired t =
+  let w = pop t in
+  t.expired_total <- t.expired_total + 1;
+  w
 
 let expired_total t = t.expired_total
-
-let take t ~now =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some w -> Some (w.w_ticket, w.w_session, now -. w.w_enqueued)

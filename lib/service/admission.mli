@@ -39,20 +39,29 @@ val offer : t -> session:int -> now:float -> utilization:float -> (int, shed_rea
     when utilization has reached the high-water mark or the queue is
     full. *)
 
-type expired = { x_ticket : int; x_session : int; x_waited : float }
+type waiting = { w_ticket : int; w_session : int; w_enqueued : float }
+(** A queued request: its ticket, its session and when it was queued. *)
 
-val expire : t -> now:float -> expired list
-(** Drop every queued request whose wait exceeds [request_timeout]
-    (FIFO order makes the overdue requests a prefix). *)
+val head_expired : t -> now:float -> bool
+(** Whether the oldest queued request has waited longer than
+    [request_timeout] at [now].  FIFO order makes the overdue requests
+    a prefix, so popping with {!pop_expired} while this holds expires
+    exactly those.  Allocates nothing. *)
+
+val pop_expired : t -> waiting
+(** Dequeue the oldest request as a deadline miss, counting it in
+    {!expired_total}.  Call it only while {!head_expired} holds.
+    Raises [Invalid_argument] when the queue is empty. *)
+
+val pop : t -> waiting
+(** Dequeue the oldest request to be granted.  Expire the overdue
+    prefix first ({!head_expired}, {!pop_expired}), so deadline misses
+    are reported, not silently granted.  Allocates nothing; raises
+    [Invalid_argument] when the queue is empty. *)
 
 val expired_total : t -> int
 (** Requests that hit their deadline while still queued, over the
     queue's lifetime — the admission queue's own count, independent of
-    how callers fold the {!expired} records into their outcomes.
+    how callers fold the expired requests into their outcomes.
     {!Service} exposes it in the obs registry as
     [admission/deadline_expired]. *)
-
-val take : t -> now:float -> (int * int * float) option
-(** Dequeue the oldest still-valid request as
-    [(ticket, session, waited)]; [None] when empty.  Call {!expire}
-    first so deadline misses are reported, not silently granted. *)

@@ -3,14 +3,19 @@ module Metrics = Renaming_obs.Metrics
 
 exception Violation of { kind : string; message : string }
 
-type slot = { s_fence : Lease.fence; s_expires : float }
-
 type counters = { c_violations : Metrics.counter; c_near_misses : Metrics.counter }
 
+(* The mirror is flat: slot [i] is live iff [live.(i)], and then held
+   under fence [{ f_name = i; f_session = sessions.(i); f_epoch =
+   epochs.(i) }] until [expires.(i)].  Observing an event allocates
+   nothing unless it raises. *)
 type t = {
   capacity : int;
   n_slots : int;
-  mirror : slot option array;
+  live : bool array;
+  sessions : int array;
+  epochs : int array;
+  expires : float array;
   mutable n_live : int;
   mutable n_events : int;
   mutable n_violations : int;
@@ -32,7 +37,10 @@ let create ?obs ~capacity ~slots () =
   {
     capacity;
     n_slots = slots;
-    mirror = Array.make slots None;
+    live = Array.make slots false;
+    sessions = Array.make slots 0;
+    epochs = Array.make slots 0;
+    expires = Array.make slots 0.;
     n_live = 0;
     n_events = 0;
     n_violations = 0;
@@ -69,15 +77,13 @@ let pp_fence (f : Lease.fence) =
     f.Lease.f_epoch
 
 let current t (fence : Lease.fence) =
-  fence.Lease.f_name >= 0
-  && fence.Lease.f_name < t.n_slots
-  &&
-  match t.mirror.(fence.Lease.f_name) with
-  | Some s -> s.s_fence = fence
-  | None -> false
+  let name = fence.Lease.f_name in
+  name >= 0 && name < t.n_slots && t.live.(name)
+  && t.sessions.(name) = fence.Lease.f_session
+  && t.epochs.(name) = fence.Lease.f_epoch
 
 let free_slot t (fence : Lease.fence) =
-  t.mirror.(fence.Lease.f_name) <- None;
+  t.live.(fence.Lease.f_name) <- false;
   t.n_live <- t.n_live - 1
 
 let observe t ~now event =
@@ -90,25 +96,28 @@ let observe t ~now event =
     if fence.Lease.f_name < 0 || fence.Lease.f_name >= t.n_slots then
       fail t ~kind:"slot-range" "grant outside namespace: %s (slots=%d)" (pp_fence fence)
         t.n_slots;
-    (match t.mirror.(fence.Lease.f_name) with
-    | Some held ->
+    let name = fence.Lease.f_name in
+    if t.live.(name) then
       fail t ~kind:"double-grant" "slot granted while held: new=%s held-by=%s"
-        (pp_fence fence) (pp_fence held.s_fence)
-    | None -> ());
+        (pp_fence fence)
+        (pp_fence { Lease.f_name = name; f_session = t.sessions.(name); f_epoch = t.epochs.(name) });
     if t.n_live >= t.capacity then
       fail t ~kind:"capacity-exceeded" "grant %s would make %d live leases (capacity %d)"
         (pp_fence fence) (t.n_live + 1) t.capacity;
-    t.mirror.(fence.Lease.f_name) <- Some { s_fence = fence; s_expires = expires };
+    t.live.(name) <- true;
+    t.sessions.(name) <- fence.Lease.f_session;
+    t.epochs.(name) <- fence.Lease.f_epoch;
+    t.expires.(name) <- expires;
     t.n_live <- t.n_live + 1
   | Renewed { fence; expires; accepted } ->
     if accepted then begin
       if not (current t fence) then
         fail t ~kind:"stale-accept" "renew accepted for dead fence %s" (pp_fence fence);
-      let s = Option.get t.mirror.(fence.Lease.f_name) in
-      if expires < s.s_expires then
+      let name = fence.Lease.f_name in
+      if expires < t.expires.(name) then
         fail t ~kind:"expiry-regression" "renew moved expiry of %s from %g back to %g"
-          (pp_fence fence) s.s_expires expires;
-      t.mirror.(fence.Lease.f_name) <- Some { s with s_expires = expires }
+          (pp_fence fence) t.expires.(name) expires;
+      t.expires.(name) <- expires
     end
     else if current t fence then
       fail t ~kind:"fenced-live" "renew fenced for live fence %s" (pp_fence fence)
@@ -134,10 +143,10 @@ let observe t ~now event =
   | Reclaimed { fence; expired_at } ->
     if not (current t fence) then
       fail t ~kind:"stale-accept" "reclaim of a slot not held by %s" (pp_fence fence);
-    let s = Option.get t.mirror.(fence.Lease.f_name) in
-    if now < s.s_expires then
+    let expires = t.expires.(fence.Lease.f_name) in
+    if now < expires then
       fail t ~kind:"early-reclaim" "reclaim of %s at %g before expiry %g" (pp_fence fence)
-        now s.s_expires;
+        now expires;
     if expired_at > now then
       fail t ~kind:"early-reclaim" "reclaim of %s reports future expiry %g at %g"
         (pp_fence fence) expired_at now;

@@ -1,79 +1,99 @@
-type 'a entry = { e_time : float; e_seq : int; e_value : 'a }
-
+(* Struct of arrays: entry [i] is [(times.(i), seqs.(i), values.(i))].
+   Times live unboxed in a float array, so pushing an entry allocates
+   nothing once the arrays have grown. *)
 type 'a t = {
-  mutable data : 'a entry array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () = { times = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 
-let less a b = a.e_time < b.e_time || (a.e_time = b.e_time && a.e_seq < b.e_seq)
+let[@inline] less (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
-let grow t entry =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = max 16 (2 * cap) in
-    let data = Array.make ncap entry in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+let resize t ncap filler =
+  let n = t.size in
+  let times = Array.make ncap 0. and seqs = Array.make ncap 0 in
+  let values = Array.make ncap filler in
+  Array.blit t.times 0 times 0 n;
+  Array.blit t.seqs 0 seqs 0 n;
+  Array.blit t.values 0 values 0 n;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.values <- values
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t.data.(i) t.data.(parent) then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
+(* Move entry [j] into slot [i]. *)
+let[@inline] move t ~from:j ~to_:i =
+  t.times.(i) <- t.times.(j);
+  t.seqs.(i) <- t.seqs.(j);
+  t.values.(i) <- t.values.(j)
+
+let[@inline] set t i ~time ~seq value =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.values.(i) <- value
+
+(* Both sifts carry the moving entry in locals and shift the others
+   through the hole, writing it once where it comes to rest. *)
+let sift_up t i =
+  let time = t.times.(i) and seq = t.seqs.(i) and value = t.values.(i) in
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if less time seq t.times.(p) t.seqs.(p) then begin
+      move t ~from:p ~to_:!i;
+      i := p
     end
-  end
+    else continue := false
+  done;
+  set t !i ~time ~seq value
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && less t.data.(l) t.data.(!smallest) then smallest := l;
-  if r < t.size && less t.data.(r) t.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let sift_down t i =
+  let time = t.times.(i) and seq = t.seqs.(i) and value = t.values.(i) in
+  let i = ref i and continue = ref true in
+  while !continue && (2 * !i) + 1 < t.size do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c = if r < t.size && less t.times.(r) t.seqs.(r) t.times.(l) t.seqs.(l) then r else l in
+    if less t.times.(c) t.seqs.(c) time seq then begin
+      move t ~from:c ~to_:!i;
+      i := c
+    end
+    else continue := false
+  done;
+  set t !i ~time ~seq value
 
-let push t ~time value =
-  let entry = { e_time = time; e_seq = t.next_seq; e_value = value } in
+let[@inline] push t ~time value =
+  let i = t.size in
+  if i = Array.length t.seqs then resize t (max 16 (2 * i)) value;
+  set t i ~time ~seq:t.next_seq value;
   t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  t.data.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  t.size <- i + 1;
+  sift_up t i
 
-let min_time t = if t.size = 0 then infinity else t.data.(0).e_time
+let[@inline] min_time t = if t.size = 0 then infinity else t.times.(0)
 
 let stamp t = t.next_seq
 
-let due t ~now ~before =
-  t.size > 0
-  &&
-  let top = t.data.(0) in
-  top.e_time <= now && top.e_seq < before
+let due t ~now ~before = t.size > 0 && t.times.(0) <= now && t.seqs.(0) < before
 
 let take t =
   if t.size = 0 then invalid_arg "Heap.take: empty heap";
-  let top = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.data.(0) <- t.data.(t.size);
+  let top = t.values.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    move t ~from:last ~to_:0;
     sift_down t 0
   end;
-  top.e_value
+  top
 
 let pop t =
   if t.size = 0 then None
   else
-    let time = t.data.(0).e_time in
+    let time = t.times.(0) in
     Some (time, take t)
 
 let size t = t.size
@@ -83,9 +103,8 @@ let is_empty t = t.size = 0
 let compact t ~live =
   let j = ref 0 in
   for i = 0 to t.size - 1 do
-    let e = t.data.(i) in
-    if live ~time:e.e_time e.e_value then begin
-      t.data.(!j) <- e;
+    if live ~time:t.times.(i) t.values.(i) then begin
+      move t ~from:i ~to_:!j;
       incr j
     end
   done;
@@ -96,9 +115,5 @@ let compact t ~live =
     sift_down t i
   done;
   (* Release the dead tail so week-long churn stays bounded. *)
-  let cap = Array.length t.data in
-  if cap > 16 && t.size * 4 < cap then begin
-    let ncap = max 16 (2 * t.size) in
-    let data = Array.sub t.data 0 ncap in
-    t.data <- data
-  end
+  let cap = Array.length t.seqs in
+  if cap > 16 && t.size * 4 < cap then resize t (max 16 (2 * t.size)) t.values.(0)

@@ -3,13 +3,23 @@
     Both the lease table (expiry queue) and the churn driver (event
     queue) need a priority queue whose pop order is a pure function of
     the push sequence: ties on [time] are broken by insertion order, so
-    two runs with the same inputs drain in byte-identical order. *)
+    two runs with the same inputs drain in byte-identical order.
+
+    {b Allocation.}  Entries are stored as a struct of arrays (times
+    unboxed in a [float array], sequence numbers, values), so once the
+    arrays have grown to the heap's high-water size {!push}, {!take},
+    {!due}, {!stamp}, {!size} and {!is_empty} allocate nothing.
+    {!push} and {!min_time} are small enough to inline across modules
+    (release builds), so their float argument or result need not be
+    boxed either.  {!pop} allocates its option and pair; growth and
+    {!compact} allocate fresh arrays. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 val push : 'a t -> time:float -> 'a -> unit
+(** Allocates nothing unless the arrays must grow (doubling). *)
 
 val pop : 'a t -> (float * 'a) option
 (** Smallest [(time, seq)] first; [None] when empty. *)

@@ -61,29 +61,32 @@ let grant_slot t ~name ~session ~now =
   Heap.push t.expiry_queue ~time:t.expiries.(name) (name, fence.f_epoch);
   fence
 
+(* Up to [probe_cap] uniformly random probes, then a deterministic
+   sweep: held < capacity <= slots, so a free slot exists and the sweep
+   cannot fail.  Plain loops, so only the returned grant allocates. *)
 let acquire t ~session ~now ~rng =
   if t.n_held >= t.cfg.capacity then Error `At_capacity
   else begin
-    let rec probe k =
-      if k >= t.cfg.probe_cap then None
-      else
-        let name = Sample.uniform_int rng t.n_slots in
-        if t.holders.(name) < 0 then Some (name, k + 1) else probe (k + 1)
-    in
-    match probe 0 with
-    | Some (name, probes) ->
-      Ok { g_fence = grant_slot t ~name ~session ~now; g_probes = probes; g_swept = false }
-    | None ->
-      (* Deterministic sweep: held < capacity <= slots, so a free slot
-         exists and the sweep cannot fail. *)
-      let rec sweep i = if t.holders.(i) < 0 then i else sweep (i + 1) in
-      let name = sweep 0 in
+    let name = ref (-1) and probes = ref 0 in
+    while !name < 0 && !probes < t.cfg.probe_cap do
+      let candidate = Sample.uniform_int rng t.n_slots in
+      incr probes;
+      if t.holders.(candidate) < 0 then name := candidate
+    done;
+    if !name >= 0 then
+      Ok { g_fence = grant_slot t ~name:!name ~session ~now; g_probes = !probes; g_swept = false }
+    else begin
+      let i = ref 0 in
+      while t.holders.(!i) >= 0 do
+        incr i
+      done;
       Ok
         {
-          g_fence = grant_slot t ~name ~session ~now;
-          g_probes = t.cfg.probe_cap + name + 1;
+          g_fence = grant_slot t ~name:!i ~session ~now;
+          g_probes = t.cfg.probe_cap + !i + 1;
           g_swept = true;
         }
+    end
   end
 
 (* A heap entry is live iff it is the slot's *current* expiry under the

@@ -238,41 +238,38 @@ type completion =
   | Done of { ticket : int; session : int; grant : Lease.grant; waited : float }
   | Timed_out of { ticket : int; session : int; waited : float }
 
-(* With the admission queue empty, expiry and the grant loop have
-   nothing to take, so an idle pump is [reclaim]'s due-test and
-   compaction check alone. *)
+(* Completions are built in order as the list is returned (tail
+   modulo cons): first the overdue prefix of the queue, oldest first,
+   then grants from the head while capacity allows.  With nothing to
+   complete (an empty queue, or a full table whose queue head is not
+   yet overdue) that is two or three tests and no allocation. *)
+let[@tail_mod_cons] rec expire_queued t ~now =
+  if Admission.head_expired t.admission ~now then begin
+    let w = Admission.pop_expired t.admission in
+    let waited = now -. w.Admission.w_enqueued in
+    t.st.expired_requests <- t.st.expired_requests + 1;
+    bump t (fun c -> c.c_expired);
+    bump t (fun c -> c.c_deadline);
+    Hist.observe t.h_wait (centiticks waited);
+    Timed_out { ticket = w.Admission.w_ticket; session = w.Admission.w_session; waited }
+    :: expire_queued t ~now
+  end
+  else grant_queued t ~now
+
+and[@tail_mod_cons] grant_queued t ~now =
+  if Admission.depth t.admission = 0 || Lease.held t.lease >= capacity t then []
+  else begin
+    let w = Admission.pop t.admission in
+    let session = w.Admission.w_session and waited = now -. w.Admission.w_enqueued in
+    let grant = do_grant t ~session ~now in
+    Hist.observe t.h_wait (centiticks waited);
+    Done { ticket = w.Admission.w_ticket; session; grant; waited } :: grant_queued t ~now
+  end
+
 let pump t =
   let now = Clock.now t.clock in
   reclaim t ~now;
-  if Admission.depth t.admission = 0 then []
-  else begin
-    let timed_out =
-      List.map
-        (fun (x : Admission.expired) ->
-          t.st.expired_requests <- t.st.expired_requests + 1;
-          bump t (fun c -> c.c_expired);
-          bump t (fun c -> c.c_deadline);
-          Hist.observe t.h_wait (centiticks x.Admission.x_waited);
-          Timed_out
-            {
-              ticket = x.Admission.x_ticket;
-              session = x.Admission.x_session;
-              waited = x.Admission.x_waited;
-            })
-        (Admission.expire t.admission ~now)
-    in
-    let rec drain acc =
-      if Lease.held t.lease >= capacity t then List.rev acc
-      else
-        match Admission.take t.admission ~now with
-        | None -> List.rev acc
-        | Some (ticket, session, waited) ->
-          let grant = do_grant t ~session ~now in
-          Hist.observe t.h_wait (centiticks waited);
-          drain (Done { ticket; session; grant; waited } :: acc)
-    in
-    timed_out @ drain []
-  end
+  expire_queued t ~now
 
 let stats t = t.st
 let held t = Lease.held t.lease

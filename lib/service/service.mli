@@ -14,7 +14,8 @@
     overdue queued requests, and grants to the head of the queue while
     capacity allows.  It may be called as often as wanted — the churn
     driver calls it, through {!Router.pump}, before every event — since
-    a pump with nothing to do costs a constant and allocates nothing. *)
+    a pump with nothing to do costs a constant and allocates nothing,
+    whether the queue is empty or the table is full ({!pump}). *)
 
 type config = { lease : Lease.config; admission : Admission.config }
 
@@ -91,9 +92,18 @@ type completion =
 
 val pump : t -> completion list
 (** Reclaim expired leases, expire overdue queued requests, then grant
-    from the queue head while capacity allows.  When the admission
-    queue is empty and no lease expiry is due, it returns [[]] after
-    only the expiry heap's compaction check, allocating nothing. *)
+    from the queue head while capacity allows.  The completions come in
+    that order: every [Timed_out] first, then every [Done], each group
+    oldest ticket first.
+
+    Allocation contract: when the admission queue is empty, or every
+    lease is held and the queue head is not past its deadline, a pump
+    returns [[]] and, unless a lease expiry is due, allocates nothing —
+    the saturated regime, where most pumps find nothing to do.
+    Otherwise it allocates the list it returns and its completions,
+    plus the audit events and lease records of the reclaims and grants
+    it performs; the expiry and grant loops build no closures, options
+    or intermediate lists. *)
 
 (** {2 Introspection} *)
 

@@ -121,6 +121,53 @@ let test_spec_fencing () =
     (`Reject "claim-unbacked")
     (Spec.apply t (Obs_event.Claimed { session = 0; name = 1 }))
 
+(* Fencing at the edges of the holder table: names just outside
+   [0, namespace), a free name inside it, and sessions that are not
+   valid ids (negative, including -1, the table's free-name marker).
+   A Released, Reclaimed or Claimed at any of them is rejected, a grant
+   to a negative id too, and the name already held stays held by its
+   holder. *)
+let test_spec_fencing_edges () =
+  List.iter
+    (fun one_shot ->
+      let mode = if one_shot then "one-shot" else "lease" in
+      let t = spec ~namespace:4 ~one_shot () in
+      ignore
+        (feed t
+           [ Obs_event.Invoked { session = 0 }; Obs_event.Granted { session = 0; name = 0 } ]);
+      let before = Spec.snapshot t in
+      List.iter
+        (fun (session, name) ->
+          let at = Printf.sprintf "%s: session %d, name %d" mode session name in
+          check verdict ("release " ^ at) (`Reject "release-not-holder")
+            (Spec.apply t (Obs_event.Released { session; name }));
+          check verdict ("reclaim " ^ at) (`Reject "reclaim-not-holder")
+            (Spec.apply t (Obs_event.Reclaimed { session; name }));
+          let claim = if name < 0 || name >= 4 then "name-out-of-range" else "claim-unbacked" in
+          check verdict ("claim " ^ at) (`Reject claim)
+            (Spec.apply t (Obs_event.Claimed { session; name })))
+        [ (0, -1); (0, 4); (0, 2); (1, 0); (-1, -1); (-1, 4); (-1, 2); (min_int, 3) ];
+      check Alcotest.string (mode ^ ": rejects change nothing") before (Spec.snapshot t);
+      (* A negative id can never become a holder, so it can never be
+         confused with a free name. *)
+      List.iter
+        (fun session ->
+          ignore (Spec.apply t (Obs_event.Invoked { session }));
+          check verdict
+            (Printf.sprintf "%s: grant to session %d" mode session)
+            (`Reject "session-out-of-range")
+            (Spec.apply t (Obs_event.Granted { session; name = 1 })))
+        [ -1; min_int ];
+      check Alcotest.int (mode ^ ": one name held") 1 (Spec.held t);
+      check Alcotest.(option int) (mode ^ ": holder kept") (Some 0) (Spec.holder t ~name:0);
+      List.iter
+        (fun name ->
+          check Alcotest.(option int)
+            (Printf.sprintf "%s: name %d has no holder" mode name)
+            None (Spec.holder t ~name))
+        [ -1; 1; 4 ])
+    [ true; false ]
+
 let test_spec_one_shot_invocation () =
   let t = spec () in
   check verdict "grant needs an invocation"
@@ -439,6 +486,7 @@ let tests =
         Alcotest.test_case "spec: uniqueness" `Quick test_spec_uniqueness;
         Alcotest.test_case "spec: namespace bound" `Quick test_spec_namespace_bound;
         Alcotest.test_case "spec: fencing" `Quick test_spec_fencing;
+        Alcotest.test_case "spec: fencing at the table edges" `Quick test_spec_fencing_edges;
         Alcotest.test_case "spec: one-shot invocation discipline" `Quick
           test_spec_one_shot_invocation;
         Alcotest.test_case "spec: lease mode" `Quick test_spec_lease_mode;

@@ -129,22 +129,23 @@ let test_admission_shed_and_expire () =
   | _ -> Alcotest.fail "bounded queue must refuse the third");
   check Alcotest.int "depth" 2 (Admission.depth adm);
   (* Take the head before it times out. *)
-  (match Admission.take adm ~now:0.5 with
-  | Some (ticket, session, waited) ->
-    check Alcotest.int "head ticket" t1 ticket;
-    check Alcotest.int "head session" 1 session;
-    check (Alcotest.float 1e-9) "waited" 0.5 waited
-  | None -> Alcotest.fail "take");
+  check Alcotest.bool "head not overdue at 0.5" false (Admission.head_expired adm ~now:0.5);
+  let w = Admission.pop adm in
+  check Alcotest.int "head ticket" t1 w.Admission.w_ticket;
+  check Alcotest.int "head session" 1 w.Admission.w_session;
+  check (Alcotest.float 1e-9) "queued at" 0.0 w.Admission.w_enqueued;
   (* The second request (queued at 0.2, timeout 1.0) expires past 1.2. *)
-  let expired = Admission.expire adm ~now:2.0 in
-  check Alcotest.int "one expiry" 1 (List.length expired);
-  let x = List.hd expired in
-  check Alcotest.int "expired session" 2 x.Admission.x_session;
-  check (Alcotest.float 1e-9) "expired wait" 1.8 x.Admission.x_waited;
-  check
-    (Alcotest.option (Alcotest.triple Alcotest.int Alcotest.int (Alcotest.float 1e-9)))
-    "queue drained" None
-    (Admission.take adm ~now:2.0)
+  check Alcotest.bool "not overdue at 1.2" false (Admission.head_expired adm ~now:1.2);
+  check Alcotest.bool "overdue at 2.0" true (Admission.head_expired adm ~now:2.0);
+  let x = Admission.pop_expired adm in
+  check Alcotest.int "expired session" 2 x.Admission.w_session;
+  check Alcotest.int "expiry counted" 1 (Admission.expired_total adm);
+  check Alcotest.int "queue drained" 0 (Admission.depth adm);
+  check Alcotest.bool "an empty queue has no overdue head" false
+    (Admission.head_expired adm ~now:2.0);
+  match Admission.pop adm with
+  | _ -> Alcotest.fail "pop on an empty queue"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Minter: global uniqueness across dispenser blocks.                 *)
@@ -376,6 +377,116 @@ let test_service_pump_fast_path () =
   check Alcotest.int "nothing held" 0 (Service.held svc);
   idle "after reclaim"
 
+(* The saturated fast path: every lease held, requests queued, none
+   past its deadline and no expiry due.  [pump] has nothing to complete,
+   returns [] and allocates nothing, and the queue is left intact. *)
+let test_service_saturated_pump_allocates_nothing () =
+  let time, svc = service ~capacity:2 ~ttl:10.0 ~queue_limit:4 ~request_timeout:1.5 () in
+  List.iter
+    (fun session ->
+      match Service.acquire svc ~session with
+      | Service.Granted _ -> ()
+      | _ -> Alcotest.fail "expected immediate grant")
+    [ 1; 2 ];
+  List.iter
+    (fun session ->
+      match Service.acquire svc ~session with
+      | Service.Queued _ -> ()
+      | _ -> Alcotest.fail "expected queueing at capacity")
+    [ 3; 4 ];
+  time := 1.0;
+  check Alcotest.int "saturated: nothing to do" 0 (List.length (Service.pump svc));
+  (match Sys.backend_type with
+  | Sys.Native ->
+    let words f =
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0
+    in
+    let empty = words (fun () -> ()) in
+    check (Alcotest.float 0.) "saturated: allocates nothing" empty
+      (words (fun () ->
+           for _ = 1 to 1_000 do
+             ignore (Sys.opaque_identity (Service.pump svc))
+           done))
+  | Sys.Bytecode | Sys.Other _ -> ());
+  check Alcotest.int "queue intact" 2 (Service.queue_depth svc);
+  check Alcotest.int "still saturated" 2 (Service.held svc);
+  (* Past the head's deadline the same pump does work again. *)
+  time := 1.6;
+  match Service.pump svc with
+  | [ Service.Timed_out { session = 3; _ }; Service.Timed_out { session = 4; _ } ] -> ()
+  | _ -> Alcotest.fail "overdue requests must time out, oldest first"
+
+(* A scripted saturated sequence, pinned: every pump's completions in
+   order, with tickets, sessions, waits and the grants' names, epochs
+   and probe counts.  Timed-out requests come before grants, each group
+   in FIFO order, and the grants follow the service RNG's draw order. *)
+let render_completion = function
+  | Service.Timed_out { ticket; session; waited } ->
+    Printf.sprintf "timeout t%d s%d w%.6g" ticket session waited
+  | Service.Done { ticket; session; grant; waited } ->
+    let f = grant.Lease.g_fence in
+    Printf.sprintf "done t%d s%d w%.6g name%d epoch%d probes%d" ticket session waited
+      f.Lease.f_name f.Lease.f_epoch grant.Lease.g_probes
+
+let test_service_saturated_golden () =
+  let time, svc = service ~capacity:2 ~ttl:10.0 ~queue_limit:8 ~high_water:2.0 () in
+  let fence session =
+    match Service.acquire svc ~session with
+    | Service.Granted g -> g.Lease.g_fence
+    | _ -> Alcotest.fail "expected immediate grant"
+  in
+  let queue session =
+    match Service.acquire svc ~session with
+    | Service.Queued _ -> ()
+    | _ -> Alcotest.fail "expected queueing"
+  in
+  let release f =
+    match Service.release svc ~fence:f with
+    | Ok _ -> ()
+    | Error `Fenced -> Alcotest.fail "live release fenced"
+  in
+  let log = ref [] in
+  let pump at =
+    time := at;
+    let r = List.map render_completion (Service.pump svc) in
+    log := !log @ [ Printf.sprintf "pump@%g: [%s]" at (String.concat "; " r) ]
+  in
+  let f1 = fence 1 in
+  let f2 = fence 2 in
+  time := 0.5;
+  queue 3;
+  time := 0.7;
+  queue 4;
+  pump 1.0;
+  time := 1.2;
+  release f1;
+  time := 1.3;
+  queue 5;
+  time := 2.1;
+  queue 6;
+  time := 2.3;
+  release f2;
+  pump 2.3;
+  time := 2.5;
+  queue 7;
+  pump 3.0;
+  pump 4.5;
+  time := 11.0;
+  queue 8;
+  pump 12.3;
+  check Alcotest.(list string) "completions"
+    [
+      "pump@1: []";
+      "pump@2.3: [timeout t0 s3 w1.8; timeout t1 s4 w1.6; done t2 s5 w1 name2 epoch3 probes1; \
+       done t3 s6 w0.2 name0 epoch1 probes1]";
+      "pump@3: []";
+      "pump@4.5: [timeout t4 s7 w2]";
+      "pump@12.3: [done t5 s8 w1.3 name1 epoch3 probes1]";
+    ]
+    !log
+
 (* ------------------------------------------------------------------ *)
 (* Churn driver, service preset: deterministic, safe, and it actually  *)
 (* reclaims.                                                           *)
@@ -571,6 +682,132 @@ let qcheck_compact_preserves_pop_order =
         List.filter (fun (_, (_, alive)) -> alive) (drain reference)
       in
       drain compacted = live_reference)
+
+(* A reference model for the heap: a list of (time, seq, value) kept
+   sorted, driven through random interleavings of every operation.
+   After each one, pop order, [min_time], [size] and [due] (against a
+   stamp taken at a random earlier point) must agree with the model. *)
+type heap_op = H_push of int | H_take | H_pop | H_stamp | H_due of int | H_compact of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun t -> H_push t) (int_range 0 9));
+        (2, return H_take);
+        (2, return H_pop);
+        (1, return H_stamp);
+        (2, map (fun t -> H_due t) (int_range 0 10));
+        (1, map (fun m -> H_compact m) (int_range 2 4));
+      ])
+
+let pp_heap_op = function
+  | H_push t -> Printf.sprintf "push %d" t
+  | H_take -> "take"
+  | H_pop -> "pop"
+  | H_stamp -> "stamp"
+  | H_due t -> Printf.sprintf "due %d" t
+  | H_compact m -> Printf.sprintf "compact %d" m
+
+let qcheck_heap_reference_model =
+  QCheck.Test.make ~count:500 ~name:"heap agrees with a sorted-list reference model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_heap_op ops))
+       QCheck.Gen.(list_size (int_range 0 120) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and next_seq = ref 0 and saved = ref 0 in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let insert ((t, s, _) as e) =
+        let rec go = function
+          | [] -> [ e ]
+          | ((t', s', _) as x) :: rest ->
+            if t < t' || (t = t' && s < s') then e :: x :: rest else x :: go rest
+        in
+        model := go !model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | H_push t ->
+            (* Values are the push index, so every entry is distinct. *)
+            let v = !next_seq in
+            Heap.push h ~time:(float_of_int t) v;
+            insert (float_of_int t, !next_seq, v);
+            incr next_seq
+          | H_take -> (
+            match !model with
+            | [] -> (
+              match Heap.take h with
+              | _ -> fail "take on an empty heap returned"
+              | exception Invalid_argument _ -> ())
+            | (_, _, v) :: rest ->
+              let got = Heap.take h in
+              if got <> v then fail "take: got %d, model %d" got v;
+              model := rest)
+          | H_pop -> (
+            match (!model, Heap.pop h) with
+            | [], None -> ()
+            | (t, _, v) :: rest, Some (t', v') ->
+              if t <> t' || v <> v' then fail "pop: got (%g, %d), model (%g, %d)" t' v' t v;
+              model := rest
+            | _ -> fail "pop: emptiness disagrees")
+          | H_stamp ->
+            saved := Heap.stamp h;
+            if !saved <> !next_seq then fail "stamp %d, model %d" !saved !next_seq
+          | H_due now ->
+            let now = float_of_int now in
+            let want = match !model with (t, s, _) :: _ -> t <= now && s < !saved | [] -> false in
+            if Heap.due h ~now ~before:!saved <> want then fail "due %g disagrees" now
+          | H_compact m ->
+            let times = Hashtbl.create 16 in
+            List.iter (fun (t, _, v) -> Hashtbl.replace times v t) !model;
+            Heap.compact h ~live:(fun ~time v ->
+                if Hashtbl.find_opt times v <> Some time then fail "compact saw a wrong time";
+                v mod m <> 0);
+            model := List.filter (fun (_, _, v) -> v mod m <> 0) !model);
+          let want_min = match !model with (t, _, _) :: _ -> t | [] -> infinity in
+          if Heap.min_time h <> want_min then fail "min_time %g, model %g" (Heap.min_time h) want_min;
+          if Heap.size h <> List.length !model then fail "size %d, model %d" (Heap.size h) (List.length !model);
+          if Heap.is_empty h <> (!model = []) then fail "is_empty disagrees")
+        ops;
+      (* Whatever is left drains in model order. *)
+      List.iter
+        (fun (_, _, v) -> if Heap.take h <> v then fail "final drain order")
+        !model;
+      true)
+
+(* Once the arrays have grown, [push] allocates nothing: no entry
+   record, no boxed time.  The times are boxed before the measurement
+   (a float crossing a call the compiler does not inline is boxed by
+   the caller), so the count is the heap's own.  Native only: bytecode
+   boxes every float it touches. *)
+let test_heap_push_allocates_nothing () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let n = 1_000 in
+    let h = Heap.create () in
+    let times = List.init n (fun i -> float_of_int ((i * 7919) mod 97)) in
+    let push_one i time = Heap.push h ~time i in
+    let fill () = List.iteri push_one times in
+    fill ();
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Heap.take h))
+    done;
+    let words f =
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0
+    in
+    let empty = words (fun () -> ()) in
+    check (Alcotest.float 0.) "push" empty (words fill);
+    check Alcotest.int "all pushed" n (Heap.size h);
+    check (Alcotest.float 0.) "take" empty
+      (words (fun () ->
+           for _ = 1 to n do
+             ignore (Sys.opaque_identity (Heap.take h))
+           done))
 
 let test_lease_heap_compaction () =
   let rng = Xoshiro.create 11L in
@@ -1296,9 +1533,14 @@ let tests =
         Alcotest.test_case "service: high-water shed" `Quick test_service_high_water_shed;
         Alcotest.test_case "service: stale fence" `Quick test_service_stale_fence_rejected;
         Alcotest.test_case "service: idle pump fast path" `Quick test_service_pump_fast_path;
+        Alcotest.test_case "service: saturated pump allocates nothing" `Quick
+          test_service_saturated_pump_allocates_nothing;
+        Alcotest.test_case "service: saturated completions golden" `Quick
+          test_service_saturated_golden;
         Alcotest.test_case "churn: safety + reclaim" `Quick test_churn_safety_and_reclaim;
         Alcotest.test_case "churn: deterministic" `Quick test_churn_deterministic;
         Alcotest.test_case "heap: compaction order" `Quick test_heap_compact_preserves_order;
+        Alcotest.test_case "heap: push allocates nothing" `Quick test_heap_push_allocates_nothing;
         Alcotest.test_case "lease: heap compaction" `Quick test_lease_heap_compaction;
         Alcotest.test_case "audit: metrics counters" `Quick test_audit_metrics_counters;
         Alcotest.test_case "router: clean handoff" `Quick test_router_clean_handoff_keeps_leases;
@@ -1338,6 +1580,7 @@ let tests =
         Alcotest.test_case "service: deadline-expiry metric" `Quick
           test_service_deadline_expired_metric;
         QCheck_alcotest.to_alcotest qcheck_compact_preserves_pop_order;
+        QCheck_alcotest.to_alcotest qcheck_heap_reference_model;
         QCheck_alcotest.to_alcotest qcheck_expiry_monotone;
         QCheck_alcotest.to_alcotest qcheck_reclaim_never_revokes_renewed;
         QCheck_alcotest.to_alcotest qcheck_stale_fence_never_writes;
