@@ -79,9 +79,13 @@ chaos-net-smoke:
 #   lease-saturated:  at most 439 words per session (418.2 measured,
 #                     plus 5%): the saturated lease path, where most
 #                     pumps find nothing to do and must allocate nothing.
-#   oneshot-adaptive: at most 750 words per name, and steps_max (the
-#                     paper's step complexity over the pinned episodes,
-#                     read from the figures line) exactly 86.  That is
+#   oneshot-adaptive: at most 274 words per name (261.1 measured,
+#                     plus 5%): continuation-style process steps, a
+#                     device cycle that reuses its buffers and a stream
+#                     fork that allocates only its state; and steps_max
+#                     (the paper's step complexity over the pinned
+#                     episodes, read from the figures line) exactly
+#                     86.  That is
 #                     Tight's n=256 maximum, which is structurally fixed
 #                     while every block is saturated (the same for every
 #                     seed and adversary, see the ROADMAP probe table),
@@ -89,7 +93,7 @@ chaos-net-smoke:
 #                     the adaptive adversary's schedule.
 PERF_SMOKE_MAX_WORDS = 3000
 PERF_SMOKE_LEASE_MAX_WORDS = 439
-PERF_SMOKE_ONESHOT_MAX_WORDS = 750
+PERF_SMOKE_ONESHOT_MAX_WORDS = 274
 PERF_SMOKE_ONESHOT_STEPS_MAX = 86
 
 perf-smoke:
@@ -126,15 +130,17 @@ perf-smoke:
 mcheck:
 	dune exec bin/main.exe -- mcheck
 
-# The fast subset that also runs inside `dune runtest`.
+# The fast subset that also runs inside `dune runtest`.  Both tier-1
+# targets write results/mcheck-tier1.json (gitignored), so they never
+# overwrite the committed full-roster results/mcheck.json.
 mcheck-tier1:
-	dune exec bin/main.exe -- mcheck --tier1
+	dune exec bin/main.exe -- mcheck --tier1 --out results/mcheck-tier1.json
 
 # The CI step: the enlarged tier-1 roster (n4 handoff entries plus
 # shard-handoff-n5) checked exhaustively under DPOR, with a wall-clock
 # budget assertion so reduction regressions fail loudly.
 mcheck-dpor-tier1:
-	dune exec bin/main.exe -- mcheck --tier1 --budget-seconds 60
+	dune exec bin/main.exe -- mcheck --tier1 --budget-seconds 60 --out results/mcheck-tier1.json
 
 # Coverage-guided schedule fuzzing: PCT adversaries plus mutation of an
 # interleaving-coverage corpus over the fuzz roster (clean algorithms

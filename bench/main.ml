@@ -83,11 +83,10 @@ let device_rng = Renaming_rng.Xoshiro.create 10L
 
 let bench_t10 () =
   let d = Device.create ~width:40 ~threshold:20 () in
+  let outcomes = Array.make 30 Device.Lost in
   for _ = 1 to 30 do
-    let requests =
-      Array.init 30 (fun i -> (i, Renaming_rng.Sample.uniform_int device_rng 40))
-    in
-    ignore (Device.tick d ~requests)
+    let bits = Array.init 30 (fun _ -> Renaming_rng.Sample.uniform_int device_rng 40) in
+    Device.tick d ~bits ~len:30 ~outcomes
   done
 
 let fit_points =

@@ -18,7 +18,9 @@ let show_cycle device label requests =
   Format.printf "  requests: %s@."
     (String.concat ", "
        (Array.to_list (Array.map (fun (pid, bit) -> Printf.sprintf "p%d->bit%d" pid bit) requests)));
-  let outcomes = Device.tick device ~requests in
+  let len = Array.length requests in
+  let outcomes = Array.make len Device.Lost in
+  Device.tick device ~bits:(Array.map snd requests) ~len ~outcomes;
   Array.iteri
     (fun i (pid, bit) ->
       let verdict =

@@ -38,7 +38,7 @@ type grant = { token : int; probes : int }
 
 (* One probe: submit a single-request cycle for a random free-looking
    bit of device [d]; a Confirmed outcome is a token. *)
-let probe_device t ~pid d =
+let probe_device t d =
   let device = t.devices.(d) in
   if Device.is_full device then None
   else begin
@@ -53,7 +53,8 @@ let probe_device t ~pid d =
     match first_free 0 with
     | None -> None
     | Some bit ->
-      let outcomes = Device.tick device ~requests:[| (pid, bit) |] in
+      let outcomes = [| Device.Lost |] in
+      Device.tick device ~bits:[| bit |] ~len:1 ~outcomes;
       (match outcomes.(0) with
       | Device.Confirmed ->
         (* A bit is won at most once, so (device, bit) is a unique
@@ -70,7 +71,7 @@ let try_acquire t ~pid ~rng =
     if attempts = 0 then None
     else begin
       incr probes;
-      match probe_device t ~pid (Sample.uniform_int rng n_dev) with
+      match probe_device t (Sample.uniform_int rng n_dev) with
       | Some token -> Some token
       | None -> random_phase (attempts - 1)
     end
@@ -80,7 +81,7 @@ let try_acquire t ~pid ~rng =
       if d >= n_dev then None
       else begin
         incr probes;
-        match probe_device t ~pid d with Some token -> Some token | None -> go (d + 1)
+        match probe_device t d with Some token -> Some token | None -> go (d + 1)
       end
     in
     go 0

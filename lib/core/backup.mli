@@ -16,9 +16,13 @@ val program :
   base:int ->
   size:int ->
   rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** Probes names [base .. base+size-1].  Returns [Some name]; [None] is
-    impossible unless more than [size] processes run the program. *)
+  (int option -> 'b Renaming_sched.Program.t) ->
+  'b Renaming_sched.Program.t
+(** [program ~base ~size ~rng k] probes names [base .. base+size-1] and
+    continues with [k] applied to the result: [Some name]; [None] is
+    impossible unless more than [size] processes run the program.  Pass
+    [Program.return] to run it on its own; {!Combined} passes the rest
+    of its program, so no step pays for a [bind] layer. *)
 
 val max_random_steps : size:int -> int
 (** Random probes spent before the deterministic sweep kicks in

@@ -5,7 +5,6 @@ module Adversary = Renaming_sched.Adversary
 module Retry = Renaming_faults.Retry
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
-open Program.Syntax
 
 type variant = Geometric of { ell : int } | Clustered of { ell : int }
 
@@ -35,32 +34,36 @@ let predicted_steps cfg =
     float_of_int (Loose_clustered.step_budget { Loose_clustered.n = cfg.n; ell })
     +. float_of_int (Mathx.loglog2_ceil cfg.n * 4)
 
+(* The phases chain through continuations (see the cost model in
+   {!Program}): the first phase hands its result to [after_first], the
+   backup to [after_backup], and no step pays for the layering. *)
 let program ?obs cfg ~rng =
   let ext = extension_size cfg in
-  let first_phase =
-    (* The sub-programs inherit the same scoped view, so their round /
-       phase spans and counters land on the shared registry. *)
-    match cfg.variant with
-    | Geometric { ell } ->
-      Loose_geometric.program ?obs { Loose_geometric.n = cfg.n; ell } ~rng
-    | Clustered { ell } ->
-      Loose_clustered.program ?obs { Loose_clustered.n = cfg.n; ell } ~rng
-  in
-  let* name = first_phase in
-  match name with
-  | Some nm -> Program.return (Some nm)
-  | None ->
-    (match obs with Some s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup" | None -> ());
-    let* name = Backup.program ~base:cfg.n ~size:ext ~rng in
+  let after_backup name =
     (match obs with Some s -> Obs.s_end s "backup" | None -> ());
-    (match name with
-    | Some nm -> Program.return (Some nm)
+    match name with
+    | Some _ -> Program.return name
     | None ->
       (* Extension exhausted (possible only when the first phase left
          more than [ext] unnamed — the event the corollary bounds).
          With m > n a free main-namespace register must exist. *)
       (match obs with Some s -> Obs.s_instant s "main-sweep" | None -> ());
-      Retry.scan_names ~first:0 ~count:cfg.n ())
+      Retry.scan_names ~first:0 ~count:cfg.n ()
+  in
+  let after_first name =
+    match name with
+    | Some _ -> Program.return name
+    | None ->
+      (match obs with Some s -> Obs.s_begin s ~args:[ ("size", ext) ] "backup" | None -> ());
+      Backup.program ~base:cfg.n ~size:ext ~rng after_backup
+  in
+  (* The sub-programs inherit the same scoped view, so their round /
+     phase spans and counters land on the shared registry. *)
+  match cfg.variant with
+  | Geometric { ell } ->
+    Loose_geometric.program ?obs { Loose_geometric.n = cfg.n; ell } ~rng after_first
+  | Clustered { ell } ->
+    Loose_clustered.program ?obs { Loose_clustered.n = cfg.n; ell } ~rng after_first
 
 let instance ?obs cfg ~stream =
   let memory = Memory.create ~namespace:(namespace cfg) () in

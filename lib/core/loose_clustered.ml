@@ -7,7 +7,6 @@ module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
-open Program.Syntax
 
 type config = { n : int; ell : int }
 
@@ -54,7 +53,7 @@ let create_instrumentation ?obs cfg =
   | Some o -> Obs.vector o "loose-clustered/named_in_phase" instr.named_in_phase);
   instr
 
-let program ?instr ?obs cfg ~rng =
+let program ?instr ?obs cfg ~rng k =
   let bounds = cluster_bounds cfg in
   let per_phase = steps_per_phase cfg in
   let record j =
@@ -74,7 +73,7 @@ let program ?instr ?obs cfg ~rng =
   let rec phase j =
     if j >= Array.length bounds then begin
       trace (fun s -> Obs.s_instant s "give-up");
-      Program.return None
+      k None
     end
     else begin
       trace (fun s -> Obs.s_begin s ~args:[ ("phase", j) ] "phase");
@@ -90,16 +89,16 @@ let program ?instr ?obs cfg ~rng =
       let target = base + Sample.uniform_int rng size in
       bump probes;
       trace (fun s -> Obs.s_instant s ~args:[ ("target", target) ] "probe");
-      let* won = Retry.tas_name target in
-      if won then begin
-        record j;
-        bump wins;
-        trace (fun s ->
-            Obs.s_instant s ~args:[ ("phase", j); ("name", target) ] "win";
-            Obs.s_end s "phase");
-        Program.return (Some target)
-      end
-      else step j (remaining - 1)
+      Retry.tas_name_k target (fun won ->
+          if won then begin
+            record j;
+            bump wins;
+            trace (fun s ->
+                Obs.s_instant s ~args:[ ("phase", j); ("name", target) ] "win";
+                Obs.s_end s "phase");
+            k (Some target)
+          end
+          else step j (remaining - 1))
     end
   in
   phase 0
@@ -110,7 +109,7 @@ let instance ?instr ?obs cfg ~stream =
   let programs =
     Array.init cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
-        program ?instr ?obs cfg ~rng:(Stream.fork stream ~index:pid))
+        program ?instr ?obs cfg ~rng:(Stream.fork stream ~index:pid) Program.return)
   in
   { Executor.memory; programs; label = "loose-clustered" }
 

@@ -41,8 +41,11 @@ val program :
   ?obs:Renaming_obs.Obs.scoped ->
   config ->
   rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** [obs] is the per-pid scoped view; it records
+  (int option -> 'b Renaming_sched.Program.t) ->
+  'b Renaming_sched.Program.t
+(** [program cfg ~rng k] continues with [k] applied to the name won, or
+    to [None] once every phase is spent, like
+    {!Loose_geometric.program}.  [obs] is the per-pid scoped view; it records
     [loose-clustered/probes]/[wins] counters plus phase spans and
     probe/win/give-up trace events. *)
 

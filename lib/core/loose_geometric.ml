@@ -7,7 +7,6 @@ module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
-open Program.Syntax
 
 type config = { n : int; ell : int }
 
@@ -43,7 +42,7 @@ let record_win instr i =
 
 let bump = function Some c -> Metrics.incr c | None -> ()
 
-let program ?instr ?obs cfg ~rng =
+let program ?instr ?obs cfg ~rng k =
   let total_rounds = rounds cfg in
   let probes, wins =
     match obs with
@@ -55,7 +54,7 @@ let program ?instr ?obs cfg ~rng =
   let rec round i =
     if i > total_rounds then begin
       (match obs with Some s -> Obs.s_instant s "give-up" | None -> ());
-      Program.return None
+      k None
     end
     else begin
       (match obs with Some s -> Obs.s_begin s ~args:[ ("round", i) ] "round" | None -> ());
@@ -72,19 +71,19 @@ let program ?instr ?obs cfg ~rng =
       (match obs with
       | Some s -> Obs.s_instant s ~args:[ ("target", target) ] "probe"
       | None -> ());
-      let* won = Retry.tas_name target in
-      if won then begin
-        record_win instr (i - 1);
-        bump wins;
-        (match obs with
-        | Some s ->
-          Obs.s_instant s ~args:[ ("round", i); ("name", target) ] "win";
-          Obs.s_end s "round"
-        | None -> ());
-        Program.return (Some target)
-      end
-      else step i (remaining - 1)
+      (* The continuation captures only the loop state: the win path is
+         a function of its own, so a probe's closure stays small. *)
+      Retry.tas_name_k target (fun won -> if won then win i target else step i (remaining - 1))
     end
+  and win i target =
+    record_win instr (i - 1);
+    bump wins;
+    (match obs with
+    | Some s ->
+      Obs.s_instant s ~args:[ ("round", i); ("name", target) ] "win";
+      Obs.s_end s "round"
+    | None -> ());
+    k (Some target)
   in
   round 1
 
@@ -94,7 +93,7 @@ let instance ?instr ?obs cfg ~stream =
   let programs =
     Array.init cfg.n (fun pid ->
         let obs = Option.map (fun o -> Obs.scoped o ~pid) obs in
-        program ?instr ?obs cfg ~rng:(Stream.fork stream ~index:pid))
+        program ?instr ?obs cfg ~rng:(Stream.fork stream ~index:pid) Program.return)
   in
   { Executor.memory; programs; label = "loose-geometric" }
 

@@ -32,12 +32,15 @@ val program :
   ?obs:Renaming_obs.Obs.scoped ->
   config ->
   rng:Renaming_rng.Xoshiro.t ->
-  int option Renaming_sched.Program.t
-(** One process's program; returns the name won or [None] after
-    exhausting the step budget.  Exposed so {!Combined} can sequence it
-    with the backup phase.  [obs] is the per-pid scoped view (the
-    caller fixes the pid); it records [loose-geometric/probes]/[wins]
-    counters plus round spans and probe/win/give-up trace events. *)
+  (int option -> 'b Renaming_sched.Program.t) ->
+  'b Renaming_sched.Program.t
+(** [program cfg ~rng k] is one process's program, continued with [k]
+    applied to the name won, or to [None] after exhausting the step
+    budget.  Exposed so {!Combined} can pass the backup phase as [k]
+    and chain the phases without a [bind] layer; [Program.return] runs
+    it on its own.  [obs] is the per-pid scoped view (the caller fixes
+    the pid); it records [loose-geometric/probes]/[wins] counters plus
+    round spans and probe/win/give-up trace events. *)
 
 val instance :
   ?instr:instrumentation ->

@@ -8,7 +8,6 @@ module Stream = Renaming_rng.Stream
 module Sample = Renaming_rng.Sample
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
-open Program.Syntax
 
 type instrumentation = {
   requests_per_tau : int array;
@@ -78,58 +77,54 @@ let program ?instr ?obs (params : Params.t) ~rng =
         Obs.s_begin s ~args:[ ("round", i) ] "round";
         Obs.s_instant s ~args:[ ("tau", tau_id); ("bit", bit) ] "probe"
       | None -> ());
-      let* () = Program.tau_submit ~reg:tau_id ~bit in
-      let* won = Program.tau_await tau_id in
-      if won then begin
-        (match instr with Some s -> s.wins_per_round.(i) <- s.wins_per_round.(i) + 1 | None -> ());
-        bump wins;
-        (match obs with
-        | Some s ->
-          Obs.s_instant s ~args:[ ("round", i) ] "win";
-          Obs.s_end s "round"
-        | None -> ());
-        let* name =
-          Retry.scan_names ~first:(Params.block_of_tau params tau_id).Params.name_base
-            ~count:params.Params.tau ()
-        in
-        match name with
-        | Some nm -> Program.return (Some nm)
-        | None ->
-          (* Impossible without crashes: at most τ confirmed winners
-             compete for exactly τ slots.  Stay safe and move on. *)
-          rounds (i + 1)
-      end
-      else begin
-        (match instr with
-        | Some s -> s.losses_per_round.(i) <- s.losses_per_round.(i) + 1
-        | None -> ());
-        bump losses;
-        (match obs with
-        | Some s ->
-          Obs.s_instant s ~args:[ ("round", i) ] "lose";
-          Obs.s_end s "round"
-        | None -> ());
-        rounds (i + 1)
-      end
+      (* Continuation style throughout (see the cost model in
+         {!Program}): a step costs its primitive's allocation only, and
+         the verdict's two paths are functions of their own, so the
+         continuations capture only the round state. *)
+      Program.tau_submit_k ~reg:tau_id ~bit (fun () ->
+          Program.tau_await_k tau_id (fun won -> if won then winner i tau_id else loser i))
     end
+  and winner i tau_id =
+    (match instr with Some s -> s.wins_per_round.(i) <- s.wins_per_round.(i) + 1 | None -> ());
+    bump wins;
+    (match obs with
+    | Some s ->
+      Obs.s_instant s ~args:[ ("round", i) ] "win";
+      Obs.s_end s "round"
+    | None -> ());
+    Retry.scan_names_k ~first:(Params.block_of_tau params tau_id).Params.name_base
+      ~count:params.Params.tau (function
+      | Some _ as name -> Program.return name
+      | None ->
+        (* Impossible without crashes: at most τ confirmed winners
+           compete for exactly τ slots.  Stay safe and move on. *)
+        rounds (i + 1))
+  and loser i =
+    (match instr with Some s -> s.losses_per_round.(i) <- s.losses_per_round.(i) + 1 | None -> ());
+    bump losses;
+    (match obs with
+    | Some s ->
+      Obs.s_instant s ~args:[ ("round", i) ] "lose";
+      Obs.s_end s "round"
+    | None -> ());
+    rounds (i + 1)
   and reserve_scan () =
     (match instr with Some s -> s.reserve_entries <- s.reserve_entries + 1 | None -> ());
     (match obs with Some s -> Obs.s_begin s "reserve-scan" | None -> ());
-    let* name =
-      Retry.scan_names ~first:params.Params.reserve_base ~count:(Params.reserve_size params) ()
-    in
-    (match obs with Some s -> Obs.s_end s "reserve-scan" | None -> ());
-    match name with
-    | Some nm -> Program.return (Some nm)
-    | None -> safety_net ()
+    Retry.scan_names_k ~first:params.Params.reserve_base ~count:(Params.reserve_size params)
+      (fun name ->
+        (match obs with Some s -> Obs.s_end s "reserve-scan" | None -> ());
+        match name with
+        | Some _ -> Program.return name
+        | None -> safety_net ())
   and safety_net () =
     (* Names burnt by crashed device winners live below reserve_base and
        are still free TAS registers; a full scan finds them. *)
     (match instr with Some s -> s.safety_net_entries <- s.safety_net_entries + 1 | None -> ());
     (match obs with Some s -> Obs.s_begin s "safety-net" | None -> ());
-    let* name = Retry.scan_names ~first:0 ~count:params.Params.reserve_base () in
-    (match obs with Some s -> Obs.s_end s "safety-net" | None -> ());
-    Program.return name
+    Retry.scan_names_k ~first:0 ~count:params.Params.reserve_base (fun name ->
+        (match obs with Some s -> Obs.s_end s "safety-net" | None -> ());
+        Program.return name)
   in
   rounds 0
 

@@ -32,43 +32,43 @@ type outcome = Lost | Confirmed | Revoked
    [allowed] new bits survive with a 1-bit in the most significant
    position; shifting back yields the surviving new bits.  Because the
    hardware shift drops bits at the register boundary, this keeps the
-   [allowed] lowest-indexed new bits. *)
-let literal_survivors ~width ~allowed util0 =
-  if allowed = 0 then 0
+   [allowed] lowest-indexed new bits.  A top-level loop, so a cycle
+   that discards allocates no closure. *)
+let rec literal_search ~width ~allowed util0 k =
+  if k >= width then
+    (* Unreachable when 0 < allowed <= popcount util0: popcount
+       decreases by at most one per extra shift and the top bit is
+       eventually flush with the register boundary. *)
+    invalid_arg "Counting_device: literal discard found no shift"
   else begin
-    let rec search k =
-      if k >= width then
-        (* Unreachable when 0 < allowed <= popcount util0: popcount
-           decreases by at most one per extra shift and the top bit is
-           eventually flush with the register boundary. *)
-        invalid_arg "Counting_device: literal discard found no shift"
-      else begin
-        let v = Word.shift_left ~width util0 k in
-        if Word.popcount v = allowed && Word.test_bit v (width - 1) then Word.shift_right ~width v k
-        else search (k + 1)
-      end
-    in
-    search 0
+    let v = Word.shift_left ~width util0 k in
+    if Word.popcount v = allowed && Word.test_bit v (width - 1) then Word.shift_right ~width v k
+    else literal_search ~width ~allowed util0 (k + 1)
   end
+
+let literal_survivors ~width ~allowed util0 =
+  if allowed = 0 then 0 else literal_search ~width ~allowed util0 0
 
 let reference_survivors ~width:_ ~allowed util0 = Word.keep_lowest util0 allowed
 
-let tick t ~requests =
+let tick t ~bits ~len ~outcomes =
+  if len < 0 || len > Array.length bits || len > Array.length outcomes then
+    invalid_arg "Counting_device.tick: len exceeds a buffer";
   t.prev_out <- t.out_reg;
   (* Line 1: capacity left this cycle. *)
   let allowed_bits = t.threshold - Word.popcount t.in_reg in
   (* Lines 2–3: concurrent TAS on the in_reg bits; first requester of a
-     free bit preliminarily wins, all others lose. *)
-  let outcomes = Array.make (Array.length requests) Lost in
-  let prelim = Array.make (Array.length requests) (-1) in
-  Array.iteri
-    (fun i (_pid, bit) ->
-      if bit < 0 || bit >= t.width then invalid_arg "Counting_device.tick: bit out of range";
-      if not (Word.test_bit t.in_reg bit) then begin
-        t.in_reg <- Word.set_bit t.in_reg bit;
-        prelim.(i) <- bit
-      end)
-    requests;
+     free bit preliminarily wins, all others lose.  [Confirmed] marks a
+     preliminary win until the discard step below settles it. *)
+  for i = 0 to len - 1 do
+    let bit = bits.(i) in
+    if bit < 0 || bit >= t.width then invalid_arg "Counting_device.tick: bit out of range";
+    if Word.test_bit t.in_reg bit then outcomes.(i) <- Lost
+    else begin
+      t.in_reg <- Word.set_bit t.in_reg bit;
+      outcomes.(i) <- Confirmed
+    end
+  done;
   (* Lines 4–14: unset supernumerary new bits if τ is exceeded. *)
   if Word.popcount t.in_reg > t.threshold then begin
     let util0 = Word.logxor t.out_reg t.in_reg in
@@ -81,13 +81,12 @@ let tick t ~requests =
     t.in_reg <- t.out_reg
   end
   else t.out_reg <- t.in_reg;
-  Array.iteri
-    (fun i bit ->
-      if bit >= 0 then
-        outcomes.(i) <- (if Word.test_bit t.out_reg bit then Confirmed else Revoked))
-    prelim;
-  t.cycles <- t.cycles + 1;
-  outcomes
+  for i = 0 to len - 1 do
+    match outcomes.(i) with
+    | Confirmed -> if not (Word.test_bit t.out_reg bits.(i)) then outcomes.(i) <- Revoked
+    | Lost | Revoked -> ()
+  done;
+  t.cycles <- t.cycles + 1
 
 let check_invariants t =
   if accepted_count t > t.threshold then

@@ -53,11 +53,19 @@ type outcome =
   | Confirmed  (** preliminary win survived the discard step *)
   | Revoked  (** preliminary win was unset by the discard step *)
 
-val tick : t -> requests:(int * int) array -> outcome array
-(** [tick t ~requests] runs one clock cycle over [(pid, bit)] requests,
-    in the given order (the order encodes the adversary's resolution of
-    same-bit races).  Returns one outcome per request, positionally.
-    Raises [Invalid_argument] on out-of-range bit indices. *)
+val tick : t -> bits:int array -> len:int -> outcomes:outcome array -> unit
+(** [tick t ~bits ~len ~outcomes] runs one clock cycle over the [len]
+    requests [bits.(0) .. bits.(len-1)], each the TAS bit one requester
+    asks for, and writes request [i]'s outcome to [outcomes.(i)].  The
+    order is the resolution order of same-bit races: the earlier
+    request wins.  {!Tau_register} passes its requests in submission
+    order, which the adversary already sets by when it schedules each
+    submit, so no separate hook reorders a cycle.  Only the first [len] entries of either buffer are
+    read or written, so a caller keeps both buffers across cycles and a
+    cycle allocates nothing.  Who asked does not matter to the device,
+    so it is not passed.  Raises [Invalid_argument] if [len] exceeds
+    either buffer, and on an out-of-range bit index (after the requests
+    before it have set their bits). *)
 
 val cycles : t -> int
 (** Number of clock cycles executed. *)

@@ -37,10 +37,18 @@ val poll : t -> pid:int -> answer
     containing the request has run, then [Won_bit] (bit confirmed in
     [out_reg]) or [Lost_bit] (lost the race or revoked).  One step. *)
 
-val run_cycle : t -> resolve_order:((int * int) array -> unit) -> unit
-(** Run one device clock cycle over the queued requests.
-    [resolve_order] lets the adversary permute same-cycle requests
-    (it may reorder the array in place) before they race. *)
+val run_cycle : t -> unit
+(** Run one device clock cycle over the queued requests.  Same-cycle
+    requests race in submission order: of two requests for one free
+    bit, the one submitted first wins.  No separate knob reorders them,
+    because the submission order already is the adversary's choice: it
+    decides when each [Tau_submit] step runs, so it orders a cycle's
+    requests by the order in which it schedules them.
+
+    The queue, the device's outcome buffer and the answers live in flat
+    per-register arrays that only grow, so once they have reached the
+    register's peak load, [submit], [poll] and [run_cycle] allocate
+    nothing. *)
 
 val pending_count : t -> int
 

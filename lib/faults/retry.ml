@@ -59,30 +59,30 @@ let ctx ?policy ?clock ~exhausted () =
     let clock = Option.value clock ~default:Clock.none in
     { policy = Option.value policy ~default; clock; t0 = Clock.now clock; exhausted }
 
-(* Run a Bool-responding operation with bounded retry: its answer on a
-   normal response, [ctx.exhausted] when every attempt was eaten by a
-   transient fault.  The clock bounds total retry time: once the
-   policy's [time_budget] is spent (measured on the injected clock from
-   [t0], so virtual under the simulator), further faults exhaust
+(* Run a Bool-responding operation with bounded retry and hand [k] its
+   answer on a normal response, [ctx.exhausted] when every attempt was
+   eaten by a transient fault.  The clock bounds total retry time: once
+   the policy's [time_budget] is spent (measured on the injected clock
+   from [t0], so virtual under the simulator), further faults exhaust
    immediately instead of backing off again.  With the default
    {!Clock.none} the budget never binds and behaviour is unchanged.
    Each attempt is a single [Step], so a fault-free operation costs one
    step record and one continuation. *)
-let rec bool_attempt ctx op attempt =
+let rec bool_attempt ctx op attempt k =
   Program.Step
     ( op,
       function
-      | Op.Bool b -> Program.Done b
+      | Op.Bool b -> k b
       | Op.Faulted ->
         let budget_spent () =
           match ctx.policy.time_budget with
           | None -> false
           | Some budget -> Clock.elapsed_since ctx.clock ctx.t0 >= budget
         in
-        if attempt >= ctx.policy.attempts || budget_spent () then Program.Done ctx.exhausted
+        if attempt >= ctx.policy.attempts || budget_spent () then k ctx.exhausted
         else
           Program.bind (idle (backoff_delay ctx.policy ~attempt)) (fun () ->
-              bool_attempt ctx op (attempt + 1))
+              bool_attempt ctx op (attempt + 1) k)
       | resp ->
         Format.kasprintf failwith "Retry: operation %a got response %a" Op.pp op Op.pp_response
           resp )
@@ -92,22 +92,28 @@ let rec bool_attempt ctx op attempt =
      claims a name it cannot prove it won;
    - a read that keeps faulting counts as *set* — a scanner skips the
      register instead of fighting for information it cannot get. *)
-let tas_name ?policy ?clock i =
-  bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_name i) 1
+let tas_name_k ?policy ?clock i k =
+  bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_name i) 1 k
 
-let tas_aux ?policy ?clock i = bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_aux i) 1
+let tas_name ?policy ?clock i = tas_name_k ?policy ?clock i Program.return
+
+let tas_aux ?policy ?clock i =
+  bool_attempt (ctx ?policy ?clock ~exhausted:false ()) (Op.Tas_aux i) 1 Program.return
 
 let read_name ?policy ?clock i =
-  bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_name i) 1
+  bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_name i) 1 Program.return
 
-let read_aux ?policy ?clock i = bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_aux i) 1
+let read_aux ?policy ?clock i =
+  bool_attempt (ctx ?policy ?clock ~exhausted:true ()) (Op.Read_aux i) 1 Program.return
 
-let scan_names ?policy ?clock ~first ~count () =
-  let open Program.Syntax in
-  let rec loop k =
-    if k >= count then Program.return None
+let scan_names_k ?policy ?clock ~first ~count k =
+  let rec loop j =
+    if j >= count then k None
     else
-      let* won = tas_name ?policy ?clock (first + k) in
-      if won then Program.return (Some (first + k)) else loop (k + 1)
+      tas_name_k ?policy ?clock (first + j) (fun won ->
+          if won then k (Some (first + j)) else loop (j + 1))
   in
   loop 0
+
+let scan_names ?policy ?clock ~first ~count () =
+  scan_names_k ?policy ?clock ~first ~count Program.return

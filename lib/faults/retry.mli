@@ -56,6 +56,19 @@ val jittered_delay : policy -> rng:Renaming_rng.Xoshiro.t -> prev:int -> int
 val tas_name :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
 
+val tas_name_k :
+  ?policy:policy ->
+  ?clock:Renaming_clock.Clock.t ->
+  int ->
+  (bool -> 'b Renaming_sched.Program.t) ->
+  'b Renaming_sched.Program.t
+(** Continuation form of {!tas_name}: the answer (or the exhausted
+    [false]) goes straight to the continuation, without the [Done] and
+    the [bind] re-wrap a [let*] over {!tas_name} pays on every step (see
+    the cost model in {!Renaming_sched.Program}).  The retry and fault
+    path is the same: {!tas_name} is this form applied to
+    [Program.return]. *)
+
 val tas_aux :
   ?policy:policy -> ?clock:Renaming_clock.Clock.t -> int -> bool Renaming_sched.Program.t
 
@@ -74,3 +87,14 @@ val scan_names :
   int option Renaming_sched.Program.t
 (** Fault-tolerant {!Renaming_sched.Program.scan_names}: registers whose
     retries exhaust are skipped as if taken. *)
+
+val scan_names_k :
+  ?policy:policy ->
+  ?clock:Renaming_clock.Clock.t ->
+  first:int ->
+  count:int ->
+  (int option -> 'b Renaming_sched.Program.t) ->
+  'b Renaming_sched.Program.t
+(** Continuation form of {!scan_names}, for the core algorithms' hot
+    paths: one step costs one {!tas_name_k} attempt and nothing for the
+    scan around it. *)

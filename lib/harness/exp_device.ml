@@ -10,11 +10,11 @@ let drive ~rng ~width ~threshold ~cycles ~load =
   let reference = Device.create ~rule:Device.Reference ~width ~threshold () in
   let confirmed = ref 0 and revoked = ref 0 and violations = ref 0 and diverged = ref 0 in
   for _ = 1 to cycles do
-    let requests =
-      Array.init (Sample.uniform_int rng (load + 1)) (fun i -> (i, Sample.uniform_int rng width))
-    in
-    let outcomes = Device.tick literal ~requests in
-    let _ = Device.tick reference ~requests in
+    let len = Sample.uniform_int rng (load + 1) in
+    let bits = Array.init len (fun _ -> Sample.uniform_int rng width) in
+    let outcomes = Array.make len Device.Lost in
+    Device.tick literal ~bits ~len ~outcomes;
+    Device.tick reference ~bits ~len ~outcomes:(Array.make len Device.Lost);
     Array.iter
       (function
         | Device.Confirmed -> incr confirmed

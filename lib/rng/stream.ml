@@ -6,9 +6,9 @@ let seed t = t.seed
 
 (* Mix the substream key into the seed through one SplitMix64 round so
    that substreams with nearby indices are decorrelated. *)
-let derive base key =
-  let sm = Splitmix64.create (Int64.logxor base (Int64.mul 0x9E3779B97F4A7C15L key)) in
-  Xoshiro.create (Splitmix64.next sm)
+let[@inline] derive base key =
+  let gamma = Splitmix64.golden_gamma in
+  Xoshiro.create (Splitmix64.mix (Int64.add (Int64.logxor base (Int64.mul gamma key)) gamma))
 
 let fork t ~index = derive t.seed (Int64.of_int (index + 1))
 

@@ -4,11 +4,14 @@
    allocates nothing. *)
 type t = Bytes.t
 
-let create seed =
-  let sm = Splitmix64.create seed in
+(* Word [i] is the [i+1]-th output of a SplitMix64 generator seeded
+   with [seed], which is [mix (seed + (i+1) * gamma)]: computed in
+   place, the seeding allocates nothing but the state. *)
+let[@inline] create seed =
   let t = Bytes.create 32 in
   for i = 0 to 3 do
-    Bytes.set_int64_ne t (8 * i) (Splitmix64.next sm)
+    Bytes.set_int64_ne t (8 * i)
+      (Splitmix64.mix (Int64.add seed (Int64.mul (Int64.of_int (i + 1)) Splitmix64.golden_gamma)))
   done;
   t
 

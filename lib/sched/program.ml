@@ -19,14 +19,22 @@ end
 let bad_response op resp =
   Format.kasprintf failwith "Program: operation %a got response %a" Op.pp op Op.pp_response resp
 
-let bool_op op =
+(* The continuation forms: each primitive parks at its operation and
+   hands the decoded response straight to [k], so a caller written in
+   this style pays one [Step] and one closure per operation and no
+   [Done] or [bind] re-wrap.  The direct forms are these applied to
+   [return]. *)
+
+let bool_op_k op k =
   Step
     ( op,
       function
-      | Op.Bool b -> Done b
+      | Op.Bool b -> k b
       | resp -> bad_response op resp )
 
-let tas_name i = bool_op (Op.Tas_name i)
+let bool_op op = bool_op_k op return
+let tas_name_k i k = bool_op_k (Op.Tas_name i) k
+let tas_name i = tas_name_k i return
 let tas_aux i = bool_op (Op.Tas_aux i)
 let read_name i = bool_op (Op.Read_name i)
 let read_aux i = bool_op (Op.Read_aux i)
@@ -72,13 +80,15 @@ let write_word ~idx ~value =
       | Op.Unit -> Done ()
       | resp -> bad_response op resp )
 
-let tau_submit ~reg ~bit =
+let tau_submit_k ~reg ~bit k =
   let op = Op.Tau_submit { reg; bit } in
   Step
     ( op,
       function
-      | Op.Unit -> Done ()
+      | Op.Unit -> k ()
       | resp -> bad_response op resp )
+
+let tau_submit ~reg ~bit = tau_submit_k ~reg ~bit return
 
 let tau_poll reg =
   let op = Op.Tau_poll reg in
@@ -88,26 +98,29 @@ let tau_poll reg =
       | Op.Tau a -> Done a
       | resp -> bad_response op resp )
 
-(* One [Step] per poll, all sharing one continuation. *)
-let tau_await reg =
+(* One [Step] for every poll: a [Pending] answer parks the process at
+   the very same step again, so waiting allocates nothing. *)
+let tau_await_k reg k =
   let op = Op.Tau_poll reg in
-  let rec answer = function
-    | Op.Tau Renaming_device.Tau_register.Pending -> Step (op, answer)
-    | Op.Tau Renaming_device.Tau_register.Won_bit -> Done true
-    | Op.Tau Renaming_device.Tau_register.Lost_bit -> Done false
+  let rec self = Step (op, answer)
+  and answer = function
+    | Op.Tau Renaming_device.Tau_register.Pending -> self
+    | Op.Tau Renaming_device.Tau_register.Won_bit -> k true
+    | Op.Tau Renaming_device.Tau_register.Lost_bit -> k false
     | resp -> bad_response op resp
   in
-  Step (op, answer)
+  self
 
-let scan_names ~first ~count =
-  let open Syntax in
-  let rec loop k =
-    if k >= count then return None
-    else
-      let* won = tas_name (first + k) in
-      if won then return (Some (first + k)) else loop (k + 1)
+let tau_await reg = tau_await_k reg return
+
+let scan_names_k ~first ~count k =
+  let rec loop j =
+    if j >= count then k None
+    else tas_name_k (first + j) (fun won -> if won then k (Some (first + j)) else loop (j + 1))
   in
   loop 0
+
+let scan_names ~first ~count = scan_names_k ~first ~count return
 
 let recover_owned ~namespace =
   let open Syntax in

@@ -4,7 +4,23 @@
     parked at a shared-memory operation with a continuation awaiting the
     response.  The executor advances one parked operation per scheduled
     step; everything between two operations (arithmetic, coin flips) is
-    local computation and costs nothing, per the model of §II-A. *)
+    local computation and costs nothing, per the model of §II-A.
+
+    {b Cost model.}  The model's local computation is free, but the
+    simulator's is not: every executed step allocates what the program
+    builds to park at its next operation.  A primitive allocates its
+    {!Op.t}, one [Step] and one continuation closure.  Each [bind] (each
+    [let*]) layer above it then re-wraps {e every} step the inner
+    program takes in a fresh [Step] plus a closure, and the inner
+    program's result comes back boxed in a [Done]; two [let*] layers
+    over a scan double the scan's per-step cost.  The continuation
+    forms ([tas_name_k], [scan_names_k], [tau_submit_k], [tau_await_k])
+    take the rest of the program as an argument instead, so the step
+    costs only the primitive's own allocation whatever the nesting.
+    Use them on paths the executor runs millions of times (the core
+    algorithms); [let*] stays the readable choice everywhere else.  The
+    two styles schedule identically: a direct form is its continuation
+    form applied to {!return}. *)
 
 type 'a t =
   | Done of 'a
@@ -25,6 +41,10 @@ end
 
 val tas_name : int -> bool t
 (** Try to win namespace register [i]; [true] iff won. *)
+
+val tas_name_k : int -> (bool -> 'b t) -> 'b t
+(** [tas_name_k i k] is [bind (tas_name i) k] without the [Done] and
+    the re-wrap. *)
 
 val tas_aux : int -> bool t
 val read_name : int -> bool t
@@ -63,6 +83,9 @@ val write_word : idx:int -> value:int -> unit t
 
 val tau_submit : reg:int -> bit:int -> unit t
 
+val tau_submit_k : reg:int -> bit:int -> (unit -> 'b t) -> 'b t
+(** Continuation form of {!tau_submit}. *)
+
 val tau_poll : int -> Renaming_device.Tau_register.answer t
 
 val tau_await : int -> bool t
@@ -70,11 +93,19 @@ val tau_await : int -> bool t
     [true] iff the bit was won.  Each poll is a step; the executor's
     device cadence bounds the number of polls by a constant. *)
 
+val tau_await_k : int -> (bool -> 'b t) -> 'b t
+(** Continuation form of {!tau_await}.  The wait is one preallocated
+    [Step] that a [Pending] answer returns again, so a poll that finds
+    the request still queued allocates nothing. *)
+
 (** {2 Composite helpers used by several algorithms} *)
 
 val scan_names : first:int -> count:int -> int option t
 (** TAS registers [first .. first+count-1] in order until one is won;
     returns the won name, or [None] if all were taken. *)
+
+val scan_names_k : first:int -> count:int -> (int option -> 'b t) -> 'b t
+(** Continuation form of {!scan_names}. *)
 
 val recover_owned : namespace:int -> int option t
 (** Sweep the namespace with {!owned_name} and return the register this

@@ -239,7 +239,7 @@ let run_backup ~stragglers ~size ~seed =
   let stream = Stream.create seed in
   let programs =
     Array.init stragglers (fun pid ->
-        Backup.program ~base:0 ~size ~rng:(Stream.fork stream ~index:pid))
+        Backup.program ~base:0 ~size ~rng:(Stream.fork stream ~index:pid) Program.return)
   in
   Executor.run ~adversary:(Adversary.round_robin ())
     { Executor.memory; programs; label = "backup" }
@@ -469,3 +469,69 @@ let stress_tests =
   [ ("core-stress", [ Alcotest.test_case "combined stress matrix" `Quick test_stress_matrix ]) ]
 
 let tests = tests @ stress_tests
+
+(* --- appended: schedule fingerprint --- *)
+
+(* An FNV-1a hash over everything the schedule decides: every applied
+   step's (pid, operation tag, register/index), in order, then each
+   pid's returned name.  The runs are the benchmark's pinned shapes
+   (Tight n=256 mass-conserving, Corollary 7 l=2 n=2048) under the
+   adaptive adversary.  Swapping the adversary, moving its scan window
+   or breaking a first-doomed tie the other way changes the hash; a
+   change to how a step is represented or allocated must not. *)
+let fingerprint run =
+  let h = ref 0xCBF29CE484222325L in
+  let mix x =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int x)) 0x100000001B3L
+  in
+  let on_tick ~time:_ ~pid ~op =
+    mix pid;
+    mix (Renaming_sched.Op.tag op);
+    match (op : Renaming_sched.Op.t) with
+    | Tas_name i | Tas_aux i | Read_name i | Read_aux i | Owned_name i | Release_name i
+    | Read_word i | Tau_poll i ->
+      mix i
+    | Tau_submit { reg; bit } ->
+      mix reg;
+      mix bit
+    | Write_word { idx; value } ->
+      mix idx;
+      mix value
+    | Yield -> ()
+  in
+  let report = run ~on_tick in
+  Array.iter
+    (function Some nm -> mix nm | None -> mix (-1))
+    report.Report.assignment.Renaming_shm.Assignment.names;
+  !h
+
+let test_schedule_fingerprint () =
+  let adversary = Adversary.adaptive_contention in
+  let tight_params = Params.make ~policy:Params.Mass_conserving ~n:256 () in
+  let combined_cfg = { Combined.n = 2048; variant = Combined.Geometric { ell = 2 } } in
+  let tight seed ~on_tick =
+    Executor.run ~on_tick ~adversary
+      (Tight.instance ~params:tight_params ~stream:(Stream.create seed) ())
+  in
+  let combined seed ~on_tick =
+    Executor.run ~on_tick ~adversary (Combined.instance combined_cfg ~stream:(Stream.create seed))
+  in
+  List.iter
+    (fun (label, run, expected) ->
+      check Alcotest.int64 label expected (fingerprint run))
+    [
+      ("tight seed 1", tight 1L, 6883795128998912004L);
+      ("tight seed 2", tight 2L, -3104889596229983263L);
+      ("tight seed 3", tight 3L, 6366907885984079594L);
+      ("combined seed 1", combined 1L, -3191939689918733950L);
+      ("combined seed 2", combined 2L, -3277777684374995895L);
+      ("combined seed 3", combined 3L, -431683818031484596L);
+    ]
+
+let fingerprint_tests =
+  [
+    ( "core-fingerprint",
+      [ Alcotest.test_case "schedule fingerprint" `Quick test_schedule_fingerprint ] );
+  ]
+
+let tests = tests @ fingerprint_tests

@@ -15,6 +15,16 @@ let outcome =
       | Device.Revoked -> Format.fprintf fmt "Revoked")
     ( = )
 
+(* The device reads a buffer of bits and writes into a buffer of
+   outcomes the caller keeps.  The tests state their cycles as
+   [(pid, bit)] requests, the shape of the paper's pseudocode, and read
+   the outcomes back positionally; the pid is only a label. *)
+let tick d ~requests =
+  let len = Array.length requests in
+  let outcomes = Array.make len Device.Lost in
+  Device.tick d ~bits:(Array.map snd requests) ~len ~outcomes;
+  outcomes
+
 let test_create_validation () =
   Alcotest.check_raises "bad width" (Invalid_argument "Counting_device.create: bad width")
     (fun () -> ignore (Device.create ~width:0 ~threshold:1 ()));
@@ -23,14 +33,14 @@ let test_create_validation () =
 
 let test_single_request_wins () =
   let d = Device.create ~width:8 ~threshold:4 () in
-  let outcomes = Device.tick d ~requests:[| (0, 3) |] in
+  let outcomes = tick d ~requests:[| (0, 3) |] in
   check outcome "confirmed" Device.Confirmed outcomes.(0);
   check Alcotest.int "accepted" 1 (Device.accepted_count d);
   check Alcotest.bool "in=out" true (Device.in_reg d = Device.out_reg d)
 
 let test_same_bit_race () =
   let d = Device.create ~width:8 ~threshold:4 () in
-  let outcomes = Device.tick d ~requests:[| (0, 3); (1, 3); (2, 3) |] in
+  let outcomes = tick d ~requests:[| (0, 3); (1, 3); (2, 3) |] in
   check outcome "first wins" Device.Confirmed outcomes.(0);
   check outcome "second loses" Device.Lost outcomes.(1);
   check outcome "third loses" Device.Lost outcomes.(2);
@@ -38,14 +48,14 @@ let test_same_bit_race () =
 
 let test_set_bit_rejects_later_cycles () =
   let d = Device.create ~width:8 ~threshold:4 () in
-  ignore (Device.tick d ~requests:[| (0, 3) |]);
-  let outcomes = Device.tick d ~requests:[| (1, 3) |] in
+  ignore (tick d ~requests:[| (0, 3) |]);
+  let outcomes = tick d ~requests:[| (1, 3) |] in
   check outcome "taken bit loses" Device.Lost outcomes.(0)
 
 let test_threshold_enforced_within_cycle () =
   let d = Device.create ~width:8 ~threshold:2 () in
   (* Four distinct free bits requested; only 2 may survive. *)
-  let outcomes = Device.tick d ~requests:[| (0, 1); (1, 4); (2, 6); (3, 7) |] in
+  let outcomes = tick d ~requests:[| (0, 1); (1, 4); (2, 6); (3, 7) |] in
   let confirmed = Array.fold_left (fun a o -> if o = Device.Confirmed then a + 1 else a) 0 outcomes in
   let revoked = Array.fold_left (fun a o -> if o = Device.Revoked then a + 1 else a) 0 outcomes in
   check Alcotest.int "two confirmed" 2 confirmed;
@@ -55,7 +65,7 @@ let test_threshold_enforced_within_cycle () =
 
 let test_discard_keeps_lowest_bits () =
   let d = Device.create ~width:8 ~threshold:2 () in
-  ignore (Device.tick d ~requests:[| (0, 6); (1, 2); (2, 5) |]);
+  ignore (tick d ~requests:[| (0, 6); (1, 2); (2, 5) |]);
   (* New bits {2,5,6}, allowed 2: survivors must be bits 2 and 5. *)
   check Alcotest.bool "bit 2 kept" true (Word.test_bit (Device.out_reg d) 2);
   check Alcotest.bool "bit 5 kept" true (Word.test_bit (Device.out_reg d) 5);
@@ -63,22 +73,22 @@ let test_discard_keeps_lowest_bits () =
 
 let test_old_bits_never_revoked () =
   let d = Device.create ~width:8 ~threshold:2 () in
-  ignore (Device.tick d ~requests:[| (0, 7) |]);
+  ignore (tick d ~requests:[| (0, 7) |]);
   (* Over-subscribe with lower-indexed bits; the old bit 7 must stay. *)
-  ignore (Device.tick d ~requests:[| (1, 0); (2, 1); (3, 2) |]);
+  ignore (tick d ~requests:[| (1, 0); (2, 1); (3, 2) |]);
   check Alcotest.bool "old bit 7 kept" true (Word.test_bit (Device.out_reg d) 7);
   check Alcotest.int "tau respected" 2 (Device.accepted_count d)
 
 let test_full_device_rejects_everything () =
   let d = Device.create ~width:8 ~threshold:1 () in
-  ignore (Device.tick d ~requests:[| (0, 0) |]);
-  let outcomes = Device.tick d ~requests:[| (1, 1); (2, 2) |] in
+  ignore (tick d ~requests:[| (0, 0) |]);
+  let outcomes = tick d ~requests:[| (1, 1); (2, 2) |] in
   Array.iter (fun o -> check Alcotest.bool "no win on full device" true (o <> Device.Confirmed)) outcomes;
   check Alcotest.int "still one" 1 (Device.accepted_count d)
 
 let test_empty_tick () =
   let d = Device.create ~width:8 ~threshold:4 () in
-  let outcomes = Device.tick d ~requests:[||] in
+  let outcomes = tick d ~requests:[||] in
   check Alcotest.int "no outcomes" 0 (Array.length outcomes);
   check Alcotest.int "cycle counted" 1 (Device.cycles d)
 
@@ -86,7 +96,7 @@ let test_bad_bit_index () =
   let d = Device.create ~width:8 ~threshold:4 () in
   Alcotest.check_raises "bit out of range"
     (Invalid_argument "Counting_device.tick: bit out of range") (fun () ->
-      ignore (Device.tick d ~requests:[| (0, 8) |]))
+      ignore (tick d ~requests:[| (0, 8) |]))
 
 let test_invariants_hold_under_load () =
   let rng = Renaming_rng.Xoshiro.create 1234L in
@@ -99,8 +109,8 @@ let test_invariants_hold_under_load () =
         let requests =
           Array.init count (fun i -> (i, Renaming_rng.Sample.uniform_int rng width))
         in
-        let o1 = Device.tick lit ~requests in
-        let o2 = Device.tick refd ~requests in
+        let o1 = tick lit ~requests in
+        let o2 = tick refd ~requests in
         check Alcotest.(array outcome) "literal = reference outcomes" o2 o1;
         (match Device.check_invariants lit with
         | Ok () -> ()
@@ -118,7 +128,7 @@ let test_tau_register_protocol () =
   Tau.submit tau ~pid:1 ~bit:1;
   check Alcotest.int "pending" 2 (Tau.pending_count tau);
   check Alcotest.bool "pending answer" true (Tau.poll tau ~pid:0 = Tau.Pending);
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   check Alcotest.bool "pid 0 won" true (Tau.poll tau ~pid:0 = Tau.Won_bit);
   check Alcotest.bool "pid 1 lost" true (Tau.poll tau ~pid:1 = Tau.Lost_bit);
   check Alcotest.int "accepted" 1 (Tau.accepted_count tau)
@@ -126,24 +136,36 @@ let test_tau_register_protocol () =
 let test_tau_register_capacity () =
   let tau = Tau.create ~base:0 ~tau:2 ~width:6 () in
   List.iter (fun (pid, bit) -> Tau.submit tau ~pid ~bit) [ (0, 0); (1, 1); (2, 2); (3, 3) ];
-  Tau.run_cycle tau ~resolve_order:(fun _ -> ());
+  Tau.run_cycle tau;
   let winners =
     List.filter (fun pid -> Tau.poll tau ~pid = Tau.Won_bit) [ 0; 1; 2; 3 ]
   in
   check Alcotest.int "exactly tau winners" 2 (List.length winners)
 
 let test_tau_register_resolve_order () =
-  (* The adversary reverses the request order: the later submitter wins
-     the contended bit. *)
+  (* Same-cycle requests resolve in submission order, which the
+     adversary controls by when it schedules each submit: pid 1 submits
+     first and wins the contended bit, whatever the pids. *)
   let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
-  Tau.submit tau ~pid:0 ~bit:2;
   Tau.submit tau ~pid:1 ~bit:2;
-  Tau.run_cycle tau ~resolve_order:(fun requests ->
-      let tmp = requests.(0) in
-      requests.(0) <- requests.(1);
-      requests.(1) <- tmp);
-  check Alcotest.bool "pid 1 won after reorder" true (Tau.poll tau ~pid:1 = Tau.Won_bit);
-  check Alcotest.bool "pid 0 lost" true (Tau.poll tau ~pid:0 = Tau.Lost_bit)
+  Tau.submit tau ~pid:0 ~bit:2;
+  Tau.run_cycle tau;
+  check Alcotest.bool "first submitter won" true (Tau.poll tau ~pid:1 = Tau.Won_bit);
+  check Alcotest.bool "second submitter lost" true (Tau.poll tau ~pid:0 = Tau.Lost_bit)
+
+(* The caller's buffers are read and written only up to [len], so one
+   pair serves every cycle; a [len] beyond either buffer is rejected. *)
+let test_tick_buffer_contract () =
+  let d = Device.create ~width:8 ~threshold:4 () in
+  let bits = [| 1; 1; 5; 7 |] and outcomes = Array.make 4 Device.Revoked in
+  Device.tick d ~bits ~len:2 ~outcomes;
+  check Alcotest.(array outcome) "first two written, the rest untouched"
+    [| Device.Confirmed; Device.Lost; Device.Revoked; Device.Revoked |]
+    outcomes;
+  check Alcotest.bool "bit 5 not requested" false (Word.test_bit (Device.out_reg d) 5);
+  Alcotest.check_raises "len beyond the buffers"
+    (Invalid_argument "Counting_device.tick: len exceeds a buffer") (fun () ->
+      Device.tick d ~bits ~len:5 ~outcomes)
 
 let test_tau_slot_bounds () =
   let tau = Tau.create ~base:0 ~tau:2 ~width:4 () in
@@ -158,7 +180,7 @@ let qcheck_device_never_exceeds_tau =
       let threshold = 1 + (abs seed mod width) in
       let d = Device.create ~width ~threshold () in
       List.iteri
-        (fun i bit -> ignore (Device.tick d ~requests:[| (i, bit mod width) |]))
+        (fun i bit -> ignore (tick d ~requests:[| (i, bit mod width) |]))
         bits;
       Device.accepted_count d <= threshold)
 
@@ -174,8 +196,8 @@ let qcheck_literal_equals_reference =
       List.for_all
         (fun batch ->
           let requests = Array.of_list (List.mapi (fun i b -> (i, b mod width)) batch) in
-          let o1 = Device.tick lit ~requests in
-          let o2 = Device.tick refd ~requests in
+          let o1 = tick lit ~requests in
+          let o2 = tick refd ~requests in
           o1 = o2 && Device.out_reg lit = Device.out_reg refd)
         batches)
 
@@ -197,6 +219,7 @@ let tests =
         Alcotest.test_case "tau protocol" `Quick test_tau_register_protocol;
         Alcotest.test_case "tau capacity" `Quick test_tau_register_capacity;
         Alcotest.test_case "tau resolve order" `Quick test_tau_register_resolve_order;
+        Alcotest.test_case "tick buffer contract" `Quick test_tick_buffer_contract;
         Alcotest.test_case "tau slot bounds" `Quick test_tau_slot_bounds;
         QCheck_alcotest.to_alcotest qcheck_device_never_exceeds_tau;
         QCheck_alcotest.to_alcotest qcheck_literal_equals_reference;
@@ -217,14 +240,13 @@ let qcheck_tau_register_capacity_across_cycles =
       let next_pid = ref 0 in
       List.iter
         (fun batch ->
-          List.iter
-            (fun bit ->
-              Tau.submit reg ~pid:!next_pid ~bit:(bit mod width);
-              incr next_pid)
-            batch;
-          (* Adversarially shuffle same-cycle requests. *)
-          Tau.run_cycle reg ~resolve_order:(fun requests ->
-              Renaming_rng.Sample.shuffle_in_place rng requests))
+          (* Same-cycle requests race in submission order, so an
+             adversarial order is a shuffled submission. *)
+          let batch = Array.of_list (List.mapi (fun i bit -> (!next_pid + i, bit mod width)) batch) in
+          next_pid := !next_pid + Array.length batch;
+          Renaming_rng.Sample.shuffle_in_place rng batch;
+          Array.iter (fun (pid, bit) -> Tau.submit reg ~pid ~bit) batch;
+          Tau.run_cycle reg)
         cycles;
       Tau.accepted_count reg <= tau)
 

@@ -296,7 +296,50 @@ let test_stream_named_golden_outputs () =
   check Alcotest.int64 "first output of (42, \"adversary\")" 0x4211e2eb4641d82cL
     (first ~seed:42L ~name:"adversary");
   check Alcotest.int64 "first output of (7, \"workload\")" 0xbe575556f2fe4756L
-    (first ~seed:7L ~name:"workload")
+    (first ~seed:7L ~name:"workload");
+  check Alcotest.int64 "first output of (42, index 3)" 0x639fead32a7030fbL
+    (Xoshiro.next (Stream.fork (Stream.create 42L) ~index:3))
+
+(* A fork allocates its 32-byte state and nothing else once SplitMix64's
+   [mix] is inlined into its callers, as in the release build.  A build
+   that does not inline across modules (dune's dev profile compiles
+   with -opaque) boxes each [int64] that crosses a module boundary:
+   [Stream.derive] and [Xoshiro.create] make five calls to [mix], each
+   boxing its argument and its result.  The test measures what one
+   cross-module [mix] call costs in this build (nothing when inlined)
+   and expects exactly the state plus five of those.  Native only. *)
+let test_fork_allocates_only_state () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let n = 1_000 in
+    let per_call f =
+      let w0 = Gc.minor_words () in
+      f ();
+      (Gc.minor_words () -. w0) /. float_of_int n
+    in
+    let state =
+      per_call (fun () ->
+          for _ = 1 to n do
+            ignore (Sys.opaque_identity (Bytes.create 32))
+          done)
+    in
+    let sink = ref 0 in
+    let mix =
+      per_call (fun () ->
+          for i = 1 to n do
+            sink := !sink lxor Int64.to_int (Splitmix64.mix (Int64.of_int i))
+          done)
+    in
+    ignore (Sys.opaque_identity !sink);
+    let s = Stream.create 11L in
+    let fork =
+      per_call (fun () ->
+          for i = 1 to n do
+            ignore (Sys.opaque_identity (Stream.fork s ~index:i))
+          done)
+    in
+    check (Alcotest.float 0.) "fork: the state plus five mixes" (state +. (5. *. mix)) fork
 
 let qcheck_uniform_int_in_bounds =
   QCheck.Test.make ~count:500 ~name:"uniform_int stays in [0,bound)"
@@ -328,6 +371,7 @@ let tests =
         Alcotest.test_case "xoshiro deterministic" `Quick test_xoshiro_deterministic;
         Alcotest.test_case "xoshiro golden vectors" `Quick test_xoshiro_golden_vectors;
         Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
+        Alcotest.test_case "fork allocates only its state" `Quick test_fork_allocates_only_state;
         Alcotest.test_case "xoshiro copy" `Quick test_xoshiro_copy_independent;
         Alcotest.test_case "xoshiro split disjoint" `Quick test_xoshiro_split_disjoint;
         Alcotest.test_case "int63 nonnegative" `Quick test_int63_nonnegative;

@@ -261,3 +261,97 @@ let extra_sched_tests =
   ]
 
 let tests = tests @ extra_sched_tests
+
+(* --- appended: the allocation-free device path --- *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A process waiting on the τ device polls once per step.  While its
+   request is still queued the answer is [Pending], and the poll parks
+   the process at the very step it came from: executing it allocates
+   nothing.  Native only, like every allocation count here. *)
+let test_pending_poll_allocates_nothing () =
+  let tau = Renaming_device.Tau_register.create ~base:0 ~tau:2 ~width:4 () in
+  let memory = Memory.create ~namespace:2 ~taus:[| tau |] () in
+  ignore (Memory.apply memory ~pid:0 (Op.Tau_submit { reg = 0; bit = 1 }));
+  let p = ref (Program.tau_await 0) in
+  let step () =
+    match !p with
+    | Program.Step (op, k) -> p := k (Memory.apply memory ~pid:0 op)
+    | Program.Done _ -> Alcotest.fail "finished early"
+  in
+  (* no cycle has run: the first poll finds the request queued *)
+  step ();
+  (match Sys.backend_type with
+  | Sys.Native ->
+    let empty = minor_words (fun () -> ()) in
+    check (Alcotest.float 0.) "pending polls allocate nothing" empty
+      (minor_words (fun () ->
+           for _ = 1 to 1_000 do
+             step ()
+           done))
+  | Sys.Bytecode | Sys.Other _ -> ());
+  Memory.tick_taus memory;
+  step ();
+  match !p with
+  | Program.Done won -> check Alcotest.bool "the lone request wins" true won
+  | Program.Step _ -> Alcotest.fail "an answered poll must finish the wait"
+
+(* One device cycle per tick over every register with queued requests:
+   once the queue, outcome and answer buffers have grown to the load,
+   submitting and ticking allocate nothing.  Each cycle asks every
+   register for two fresh bits, twice each, so every cycle has a lost
+   race, and the cycles run past the threshold, through the discard
+   step, into revocations. *)
+let test_tick_taus_allocates_nothing () =
+  let regs = 4 and cycles = 20 and per_reg = 4 in
+  let taus =
+    Array.init regs (fun r ->
+        Renaming_device.Tau_register.create ~base:(2 * r) ~tau:31 ~width:62 ())
+  in
+  let memory = Memory.create ~namespace:(2 * regs) ~taus () in
+  (* [submits.(c)]: cycle [c]'s (pid, operation) pairs, built up front *)
+  let submits =
+    Array.init (cycles + 1) (fun c ->
+        Array.init (regs * per_reg) (fun i ->
+            let reg = i mod regs and k = i / regs in
+            (i, Op.Tau_submit { reg; bit = (2 * c) + (k / 2) })))
+  in
+  let cycle c =
+    let batch = submits.(c) in
+    for i = 0 to Array.length batch - 1 do
+      let pid, op = batch.(i) in
+      ignore (Memory.apply memory ~pid op)
+    done;
+    Memory.tick_taus memory
+  in
+  cycle 0;
+  (match Sys.backend_type with
+  | Sys.Native ->
+    let empty = minor_words (fun () -> ()) in
+    check (Alcotest.float 0.) "submit + tick allocate nothing" empty
+      (minor_words (fun () ->
+           for c = 1 to cycles do
+             cycle c
+           done))
+  | Sys.Bytecode | Sys.Other _ -> ());
+  Array.iter
+    (fun t ->
+      check Alcotest.int "filled to the threshold" 31
+        (Renaming_device.Tau_register.accepted_count t))
+    taus
+
+let alloc_sched_tests =
+  [
+    ( "sched-alloc",
+      [
+        Alcotest.test_case "pending poll allocates nothing" `Quick
+          test_pending_poll_allocates_nothing;
+        Alcotest.test_case "tick_taus allocates nothing" `Quick test_tick_taus_allocates_nothing;
+      ] );
+  ]
+
+let tests = tests @ alloc_sched_tests
