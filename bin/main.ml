@@ -522,17 +522,13 @@ let shrink_cmd =
           print_string r.Shrink.r_failure.Shrink.f_message;
           print_newline ();
           let min_path = file ^ ".min" in
+          (* Record the guard the failure was actually reproduced
+             under, so the .min replays standalone even when
+             --max-ticks overrode the artifact's header. *)
           write_file min_path
             (Shrink.repro_to_string
-               {
-                 repro with
-                 Shrink.rp_kind = r.Shrink.r_failure.Shrink.f_kind;
-                 rp_choices = r.Shrink.r_choices;
-                 (* Record the guard the failure was actually reproduced
-                    under, so the .min replays standalone even when
-                    --max-ticks overrode the artifact's header. *)
-                 rp_max_ticks = input.Shrink.max_ticks;
-               });
+               (Shrink.to_repro ~n ~seed:repro.Shrink.rp_seed ~max_ticks:input.Shrink.max_ticks
+                  ~tau_cadence:input.Shrink.tau_cadence r));
           Printf.printf "(minimised repro written to %s)\n" min_path))
   in
   Cmd.v

@@ -1,5 +1,6 @@
 (* Record/replay debugging: capture an adversarial execution as a
-   schedule trace, visualise it, and replay it bit-for-bit.
+   schedule trace from the executor's event stream, visualise it, and
+   replay it bit-for-bit as a strict directed run.
 
    The algorithm's coin flips are pinned by the seed; the trace pins the
    only remaining nondeterminism — the adversary's decisions — so a
@@ -8,6 +9,7 @@
    Run with:  dune exec examples/replay_debugging.exe *)
 
 module Trace = Renaming_sched.Trace
+module Directed = Renaming_sched.Directed
 module Executor = Renaming_sched.Executor
 module Adversary = Renaming_sched.Adversary
 module Report = Renaming_sched.Report
@@ -26,7 +28,7 @@ let () =
       ~base:(Adversary.uniform (Stream.fork_named (Stream.create 7L) ~name:"adv"))
       ~crash_times:[ (5, 2); (11, 9) ]
   in
-  let original = Executor.run ~adversary:(Trace.recording trace ~base:crashing) (build ()) in
+  let original = Executor.run ~on_event:(Trace.record trace) ~adversary:crashing (build ()) in
   Format.printf "original run:@.%a@.@." Report.pp original;
 
   (* 2. Inspect the captured schedule. *)
@@ -35,10 +37,19 @@ let () =
     (Trace.pp_timeline ?max_pids:None ?max_events:None)
     trace;
 
-  (* 3. Replay: same seeds + same schedule = identical execution. *)
-  let replayed = Executor.run ~adversary:(Trace.replaying trace) (build ()) in
+  (* 3. Replay: same seeds + same schedule = identical execution.  A
+     strict directed run stops with [Directed.Divergence] on the first
+     decision that does not apply, or if the prefix runs out early. *)
+  let prefix = Trace.choices trace in
+  let run = Directed.run ~strict:true ~prefix (build ()) in
+  let replayed =
+    match run.Directed.outcome with
+    | Directed.Finished report -> report
+    | Directed.Raised e -> raise e
+  in
   let same =
-    original.Report.assignment.Renaming_shm.Assignment.names
+    Array.length run.Directed.taken = List.length prefix
+    && original.Report.assignment.Renaming_shm.Assignment.names
     = replayed.Report.assignment.Renaming_shm.Assignment.names
     && original.Report.ticks = replayed.Report.ticks
     && original.Report.crashed = replayed.Report.crashed

@@ -1,3 +1,5 @@
+module Json = Renaming_obs.Json
+
 type t = {
   pairs : Commute.audit;
   coverage : Commute.audit;
@@ -41,33 +43,19 @@ let pp fmt t =
   List.iter (fun f -> Format.fprintf fmt "  %a@ " Lint.pp_finding f) t.lint;
   Format.fprintf fmt "verdict: %s@]" (if ok t then "ok" else "FAILED")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let audit_json (a : Commute.audit) =
   Printf.sprintf "{\"checked\":%d,\"failures\":[%s]}" a.Commute.a_checked
     (String.concat ","
        (List.map
           (fun (f : Commute.failure) ->
-            Printf.sprintf "{\"check\":\"%s\",\"detail\":\"%s\"}" (json_escape f.Commute.f_check)
-              (json_escape f.Commute.f_detail))
+            Printf.sprintf "{\"check\":\"%s\",\"detail\":\"%s\"}" (Json.escape f.Commute.f_check)
+              (Json.escape f.Commute.f_detail))
           a.Commute.a_failures))
 
 let finding_json (f : Lint.finding) =
   Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"waived\":%b}"
-    (json_escape f.Lint.l_file) f.Lint.l_line (json_escape f.Lint.l_rule)
-    (json_escape f.Lint.l_message) f.Lint.l_waived
+    (Json.escape f.Lint.l_file) f.Lint.l_line (Json.escape f.Lint.l_rule)
+    (Json.escape f.Lint.l_message) f.Lint.l_waived
 
 let to_json t =
   Printf.sprintf

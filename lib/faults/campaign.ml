@@ -6,6 +6,7 @@ module Directed = Renaming_sched.Directed
 module Stream = Renaming_rng.Stream
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Json = Renaming_obs.Json
 
 type algorithm = {
   algo_name : string;
@@ -83,20 +84,6 @@ let baseline ~max_ticks ~seeds algo =
     seeds;
   !total /. float_of_int (max 1 (Array.length seeds))
 
-(* Rebuild the run's decision sequence from its recorded trace: every
-   scheduled step whose execution drew an injected fault becomes a
-   [Fault] choice, so a directed replay reproduces the injection without
-   the RNG. *)
-let choices_of_trace trace ~faulted =
-  List.mapi
-    (fun i event ->
-      match event with
-      | Trace.Scheduled { pid; _ } ->
-        if List.mem i faulted then Directed.Fault pid else Directed.Step pid
-      | Trace.Crashed { pid; _ } -> Directed.Crash pid
-      | Trace.Recovered { pid; _ } -> Directed.Recover pid)
-    (Trace.events trace)
-
 let run_cell ~refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate =
   let violations = ref 0 in
   let messages = ref [] in
@@ -108,75 +95,60 @@ let run_cell ~refine ~max_ticks ~seeds ~baseline_max_steps algo adv pattern rate
   let unnamed = ref 0 in
   let steps_total = ref 0. in
   let completed_runs = ref 0 in
+  let tally report =
+    (* Belt and braces: the spec already checks uniqueness and bounds
+       online; a post-hoc failure here means the spec (or its executor
+       adapter) has a blind spot. *)
+    if not (Report.is_sound report) then begin
+      incr violations;
+      messages := "post-hoc soundness check failed (spec blind spot?)" :: !messages
+    end;
+    crashed := !crashed + List.length report.Report.crashed;
+    recovered := !recovered + List.length report.Report.recovered;
+    unnamed := !unnamed + List.length (Report.surviving_unnamed report)
+  in
   Array.iter
     (fun seed ->
       let inst = algo.build ~seed in
       let n = Array.length inst.Executor.programs in
-      let base = adv.make_adversary ~seed in
-      let trace = Trace.create () in
-      let adversary = Trace.recording trace ~base:(wrap_adversary ~pattern ~seed ~n base) in
+      let adversary = wrap_adversary ~pattern ~seed ~n (adv.make_adversary ~seed) in
       let fault_rng = Stream.fork_named (Stream.create seed) ~name:"campaign-faults" in
-      let base_inject, injected_count =
-        Injector.counting (Injector.bernoulli ~rate ~rng:fault_rng)
-      in
-      (* The executor consults [inject] while executing the decision the
-         adversary just recorded, so a hit belongs to the last trace
-         event. *)
-      let faulted = ref [] in
-      let inject ~time ~pid ~op =
-        let hit = base_inject ~time ~pid ~op in
-        if hit then faulted := (Trace.length trace - 1) :: !faulted;
-        hit
-      in
+      let inject, injected_count = Injector.counting (Injector.bernoulli ~rate ~rng:fault_rng) in
+      let trace = Trace.create () in
       let monitor = Monitor.create ~refine ~name:algo.algo_name inst in
-      (try
-         let report =
-           Executor.run ~max_ticks ~inject ~on_event:(Monitor.hook monitor) ~adversary inst
-         in
-         Monitor.finalize monitor report;
-         (* Belt and braces: the spec already checks uniqueness and
-            bounds online; a post-hoc failure here means the spec (or
-            its executor adapter) has a blind spot. *)
-         if not (Report.is_sound report) then begin
-           incr violations;
-           messages := "post-hoc soundness check failed (spec blind spot?)" :: !messages
-         end;
-         if Report.is_livelock report then incr livelocks
-         else begin
-           incr completed_runs;
-           steps_total := !steps_total +. float_of_int (Report.max_steps report)
-         end;
-         crashed := !crashed + List.length report.Report.crashed;
-         recovered := !recovered + List.length report.Report.recovered;
-         unnamed := !unnamed + List.length (Report.surviving_unnamed report)
-       with Monitor.Violation v ->
-         incr violations;
-         messages := v.Monitor.message :: !messages;
-         (* Auto-shrink every violation to a 1-minimal replayable repro. *)
-         let shrink_input =
-           {
-             Shrink.label = algo.algo_name;
-             build = (fun () -> algo.build ~seed);
-             choices = choices_of_trace trace ~faulted:!faulted;
-             max_ticks;
-             tau_cadence = 1;
-           }
-         in
-         (match Shrink.shrink ~refine shrink_input with
-         | Some r ->
-           repros :=
-             {
-               Shrink.rp_algorithm = algo.algo_name;
-               rp_n = n;
-               rp_seed = seed;
-               rp_max_ticks = max_ticks;
-               rp_tau_cadence = 1;
-               rp_kind = r.Shrink.r_failure.Shrink.f_kind;
-               rp_trace_format = Shrink.Condensed;
-               rp_choices = r.Shrink.r_choices;
-             }
-             :: !repros
-         | None -> ()));
+      let on_event e =
+        Trace.record trace e;
+        Monitor.hook monitor e
+      in
+      let outcome =
+        match Executor.run ~max_ticks ~inject ~on_event ~adversary inst with
+        | report -> Directed.Finished report
+        | exception e -> Directed.Raised e
+      in
+      (match Monitor.verdict monitor outcome with
+      | Monitor.Failed f ->
+        incr violations;
+        messages := f.Monitor.f_message :: !messages;
+        (* Auto-shrink every violation to a 1-minimal replayable repro. *)
+        let input =
+          {
+            Shrink.label = algo.algo_name;
+            build = (fun () -> algo.build ~seed);
+            choices = Trace.choices trace;
+            max_ticks;
+            tau_cadence = 1;
+          }
+        in
+        Option.iter
+          (fun r -> repros := Shrink.to_repro ~n ~seed ~max_ticks ~tau_cadence:1 r :: !repros)
+          (Shrink.shrink ~refine input)
+      | Monitor.Livelocked report ->
+        incr livelocks;
+        tally report
+      | Monitor.Clean report ->
+        incr completed_runs;
+        steps_total := !steps_total +. float_of_int (Report.max_steps report);
+        tally report);
       injected := !injected + injected_count ())
     seeds;
   {
@@ -250,40 +222,17 @@ let run ?progress ?obs ~refine spec =
 
 let ok s = s.total_violations = 0 && s.total_livelocks = 0
 
-(* --- JSON emission (hand-rolled: the toolchain has no JSON library and
-   the driver forbids adding one) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let repro_to_json (r : Shrink.repro) =
-  Printf.sprintf "{\"algorithm\":\"%s\",\"n\":%d,\"seed\":\"%Ld\",\"kind\":\"%s\",\"choices\":[%s]}"
-    (json_escape r.Shrink.rp_algorithm) r.Shrink.rp_n r.Shrink.rp_seed
-    (json_escape r.Shrink.rp_kind)
-    (String.concat ","
-       (List.map
-          (fun c -> "\"" ^ json_escape (Renaming_sched.Directed.choice_to_string c) ^ "\"")
-          r.Shrink.rp_choices))
+(* --- JSON emission (hand-rolled over [Json.escape]: the toolchain has
+   no JSON library) --- *)
 
 let cell_to_json c =
   Printf.sprintf
     "{\"algorithm\":\"%s\",\"adversary\":\"%s\",\"pattern\":\"%s\",\"fault_rate\":%g,\"runs\":%d,\"violations\":%d,\"livelocks\":%d,\"injected_faults\":%d,\"crashed\":%d,\"recovered\":%d,\"unnamed_survivors\":%d,\"mean_max_steps\":%.2f,\"baseline_max_steps\":%.2f,\"degradation\":%.3f,\"messages\":[%s],\"repros\":[%s]}"
-    (json_escape c.c_algorithm) (json_escape c.c_adversary) (json_escape c.c_pattern) c.c_rate
+    (Json.escape c.c_algorithm) (Json.escape c.c_adversary) (Json.escape c.c_pattern) c.c_rate
     c.c_runs c.c_violations c.c_livelocks c.c_injected c.c_crashed c.c_recovered c.c_unnamed
     c.c_mean_max_steps c.c_baseline_max_steps (degradation c)
-    (String.concat "," (List.map (fun m -> "\"" ^ json_escape m ^ "\"") c.c_messages))
-    (String.concat "," (List.map repro_to_json c.c_repros))
+    (String.concat "," (List.map (fun m -> "\"" ^ Json.escape m ^ "\"") c.c_messages))
+    (String.concat "," (List.map Shrink.repro_to_json c.c_repros))
 
 let to_json summary =
   Printf.sprintf

@@ -79,9 +79,11 @@ val run :
   refine:Monitor.refine ->
   spec ->
   summary
-(** Runs every cell; a monitor or spec violation aborts only that run
-    and is recorded in the cell.  Deterministic given [spec.seeds].
-    With [obs], campaign totals are recorded on the registry as the
+(** Runs every cell; a failing run — a monitor or spec violation, or
+    any other exception, as {!Monitor.verdict} classifies it — counts as
+    a violation of its cell and is shrunk from the schedule
+    {!Renaming_sched.Trace} read off its event stream.  Deterministic
+    given [spec.seeds].  With [obs], campaign totals are recorded on the registry as the
     [chaos/cells], [chaos/runs], [chaos/violations], [chaos/livelocks]
     and [chaos/injected_faults] counters.
 

@@ -1,6 +1,7 @@
 module Executor = Renaming_sched.Executor
 module Memory = Renaming_sched.Memory
 module Report = Renaming_sched.Report
+module Directed = Renaming_sched.Directed
 module Step_ledger = Renaming_shm.Step_ledger
 
 type violation = { kind : string; message : string }
@@ -128,3 +129,17 @@ let finalize t (report : Report.t) =
             "final assignment gives %d to process %d but the monitor never saw that return" name
             pid)
     report.Report.assignment.Renaming_shm.Assignment.names
+
+type failure = { f_kind : string; f_message : string }
+
+type verdict = Clean of Report.t | Livelocked of Report.t | Failed of failure
+
+let verdict t (outcome : Directed.outcome) =
+  match outcome with
+  | Raised (Violation v) -> Failed { f_kind = v.kind; f_message = v.message }
+  | Raised e ->
+    Failed { f_kind = "exception:" ^ Printexc.exn_slot_name e; f_message = Printexc.to_string e }
+  | Finished report -> (
+    match finalize t report with
+    | exception Violation v -> Failed { f_kind = v.kind; f_message = v.message }
+    | () -> if Report.is_livelock report then Livelocked report else Clean report)

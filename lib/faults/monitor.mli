@@ -57,3 +57,22 @@ val hook : t -> Renaming_sched.Executor.event -> unit
 
 val finalize : t -> Renaming_sched.Report.t -> unit
 (** Post-run consistency checks; raises {!Violation} on mismatch. *)
+
+(** A failed run: the {!violation} kind, ["exception:<name>"] for any
+    other exception, or ["livelock"] (built by the shrinker, which
+    treats a livelock as a failure to reproduce). *)
+type failure = { f_kind : string; f_message : string }
+
+type verdict =
+  | Clean of Renaming_sched.Report.t  (** finished, finalized, no violation *)
+  | Livelocked of Renaming_sched.Report.t
+      (** cut off by the livelock guard; finalized like a clean run *)
+  | Failed of failure
+
+val verdict : t -> Renaming_sched.Directed.outcome -> verdict
+(** The one classification of a monitored run, shared by chaos, fuzz,
+    mcheck and the shrinker.  A raised {!Violation} is [Failed] with its
+    kind, any other exception [Failed] with kind
+    ["exception:<name>"].  A finished run — livelocked ones included —
+    goes through {!finalize} first, so a ledger or assignment mismatch
+    is [Failed] even when the guard tripped. *)

@@ -1,8 +1,8 @@
 module Executor = Renaming_sched.Executor
 module Directed = Renaming_sched.Directed
-module Report = Renaming_sched.Report
+module Json = Renaming_obs.Json
 
-type failure = { f_kind : string; f_message : string }
+type failure = Monitor.failure = { f_kind : string; f_message : string }
 
 type input = {
   label : string;
@@ -28,29 +28,15 @@ let execute ~refine input prefix =
       ~on_event:(Monitor.hook monitor) ~prefix inst
   in
   let failure =
-    match run.Directed.outcome with
-    | Directed.Raised (Monitor.Violation v) ->
-      Some { f_kind = v.Monitor.kind; f_message = v.Monitor.message }
-    | Directed.Raised e ->
+    match Monitor.verdict monitor run.Directed.outcome with
+    | Monitor.Clean _ -> None
+    | Monitor.Livelocked _ ->
       Some
         {
-          f_kind = "exception:" ^ Printexc.exn_slot_name e;
-          f_message = Printexc.to_string e;
+          f_kind = "livelock";
+          f_message = Printf.sprintf "run hit the %d-tick livelock guard" input.max_ticks;
         }
-    | Directed.Finished report ->
-      if Report.is_livelock report then
-        Some
-          {
-            f_kind = "livelock";
-            f_message =
-              Printf.sprintf "run hit the %d-tick livelock guard" input.max_ticks;
-          }
-      else (
-        try
-          Monitor.finalize monitor report;
-          None
-        with Monitor.Violation v ->
-          Some { f_kind = v.Monitor.kind; f_message = v.Monitor.message })
+    | Monitor.Failed f -> Some f
   in
   (run, failure)
 
@@ -125,8 +111,6 @@ let shrink ?(max_replays = 4000) ~refine input =
 
 (* --- repro artifacts --- *)
 
-type trace_format = Choices | Condensed
-
 type repro = {
   rp_algorithm : string;
   rp_n : int;
@@ -134,11 +118,19 @@ type repro = {
   rp_max_ticks : int;
   rp_tau_cadence : int;
   rp_kind : string;
-  rp_trace_format : trace_format;
   rp_choices : Directed.choice list;
 }
 
-let trace_format_name = function Choices -> "choices" | Condensed -> "condensed"
+let to_repro ~n ~seed ~max_ticks ~tau_cadence r =
+  {
+    rp_algorithm = r.r_label;
+    rp_n = n;
+    rp_seed = seed;
+    rp_max_ticks = max_ticks;
+    rp_tau_cadence = tau_cadence;
+    rp_kind = r.r_failure.f_kind;
+    rp_choices = r.r_choices;
+  }
 
 let repro_to_string r =
   let buf = Buffer.create 256 in
@@ -148,19 +140,23 @@ let repro_to_string r =
   Buffer.add_string buf (Printf.sprintf "max-ticks: %d\n" r.rp_max_ticks);
   Buffer.add_string buf (Printf.sprintf "tau-cadence: %d\n" r.rp_tau_cadence);
   Buffer.add_string buf (Printf.sprintf "kind: %s\n" r.rp_kind);
-  Buffer.add_string buf (Printf.sprintf "trace-format: %s\n" (trace_format_name r.rp_trace_format));
+  Buffer.add_string buf "trace-format: condensed\n";
   Buffer.add_string buf "trace:\n";
-  (match r.rp_trace_format with
-  | Choices ->
-    List.iter
-      (fun c -> Buffer.add_string buf (Directed.choice_to_string c ^ "\n"))
-      r.rp_choices
-  | Condensed ->
-    (* [rp_choices] stays the single source of truth; without decision
-       points every switch renders as a [P] segment, which replays
-       identically ([choices_of_condensed] treats [S] and [P] alike). *)
-    Buffer.add_string buf (Directed.condensed (Array.of_list r.rp_choices) ^ "\n"));
+  (* Without decision points every switch renders as a [P] segment,
+     which replays identically ([choices_of_condensed] treats [S] and
+     [P] alike). *)
+  Buffer.add_string buf (Directed.condensed (Array.of_list r.rp_choices) ^ "\n");
   Buffer.contents buf
+
+let choices_to_json cs =
+  String.concat ","
+    (List.map (fun c -> "\"" ^ Json.escape (Directed.choice_to_string c) ^ "\"") cs)
+
+let repro_to_json r =
+  Printf.sprintf
+    "{\"algorithm\":\"%s\",\"n\":%d,\"seed\":\"%Ld\",\"kind\":\"%s\",\"tau_cadence\":%d,\"choices\":[%s]}"
+    (Json.escape r.rp_algorithm) r.rp_n r.rp_seed (Json.escape r.rp_kind) r.rp_tau_cadence
+    (choices_to_json r.rp_choices)
 
 let repro_of_string s =
   let ( let* ) = Stdlib.Result.bind in
@@ -205,15 +201,14 @@ let repro_of_string s =
   let* rp_kind = field "kind" Option.some in
   (* Optional header: artifacts predating the condensed format carry no
      [trace-format] and default to the legacy one-choice-per-line body. *)
-  let* rp_trace_format =
+  let* condensed =
     match List.assoc_opt "trace-format" hdrs with
-    | None | Some "choices" -> Ok Choices
-    | Some "condensed" -> Ok Condensed
+    | None | Some "choices" -> Ok false
+    | Some "condensed" -> Ok true
     | Some v -> Error (Printf.sprintf "bad value %S for header %S" v "trace-format")
   in
   let* rp_choices =
-    match rp_trace_format with
-    | Choices ->
+    if not condensed then
       let rec choices acc = function
         | [] -> Ok (List.rev acc)
         | line :: rest ->
@@ -224,7 +219,7 @@ let repro_of_string s =
             choices (c :: acc) rest
       in
       choices [] body
-    | Condensed ->
+    else
       List.fold_left
         (fun acc line ->
           let* acc in
@@ -243,6 +238,5 @@ let repro_of_string s =
       rp_max_ticks;
       rp_tau_cadence;
       rp_kind;
-      rp_trace_format;
       rp_choices;
     }

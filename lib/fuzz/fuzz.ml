@@ -6,10 +6,10 @@ module Trace = Renaming_sched.Trace
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
 module Stream = Renaming_rng.Stream
-module Sample = Renaming_rng.Sample
 module Clock = Renaming_clock.Clock
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Json = Renaming_obs.Json
 
 type target = {
   fz_name : string;
@@ -67,70 +67,36 @@ let repros s =
     (fun r -> List.filter_map (fun v -> v.v_repro) r.r_violations)
     s.s_results
 
-(* The failing run's decision sequence, replayable through the directed
-   executor (same mapping as the chaos campaign's). *)
-let choices_of_trace trace =
-  List.map
-    (function
-      | Trace.Scheduled { pid; _ } -> Directed.Step pid
-      | Trace.Crashed { pid; _ } -> Directed.Crash pid
-      | Trace.Recovered { pid; _ } -> Directed.Recover pid)
-    (Trace.events trace)
-
-type outcome_class =
-  | Clean
-  | Livelocked
-  | Violated of { kind : string; message : string }
-
-(* One monitored, coverage-instrumented execution of [target] under
-   [drive].  Detaches the logger before returning so instances never
-   leak a collector. *)
+(* One monitored, coverage-instrumented, traced execution of [target]:
+   [drive] runs the instance with the given [on_event] hook.  Returns
+   the run's verdict, its coverage edges and its trace.  Detaches the
+   logger before returning so instances never leak a collector. *)
 let observe_run ~refine target ~tseed ~drive =
   let inst = target.fz_build ~seed:tseed in
   let cov = Coverage.create () in
   Coverage.attach cov inst.Executor.memory;
   let monitor = Monitor.create ~refine ~name:target.fz_name inst in
-  let classify_report report =
-    if Report.is_livelock report then Livelocked
-    else (
-      try
-        Monitor.finalize monitor report;
-        Clean
-      with Monitor.Violation v -> Violated { kind = v.Monitor.kind; message = v.Monitor.message })
+  let trace = Trace.create () in
+  let on_event e =
+    Trace.record trace e;
+    Monitor.hook monitor e
   in
-  let outcome =
-    match drive ~inst ~on_event:(Monitor.hook monitor) with
-    | report -> classify_report report
-    | exception Monitor.Violation v ->
-      Violated { kind = v.Monitor.kind; message = v.Monitor.message }
-  in
+  let verdict = Monitor.verdict monitor (drive ~inst ~on_event) in
   Coverage.detach inst.Executor.memory;
-  (outcome, Coverage.edges cov)
+  (verdict, Coverage.edges cov, trace)
 
 let shrink_violation ~refine target ~tseed ~prefix =
-  match
-    Shrink.shrink ~refine
-      {
-        Shrink.label = target.fz_name;
-        build = (fun () -> target.fz_build ~seed:tseed);
-        choices = prefix;
-        max_ticks = target.fz_max_ticks;
-        tau_cadence = target.fz_tau_cadence;
-      }
-  with
-  | None -> None
-  | Some r ->
-    Some
-      {
-        Shrink.rp_algorithm = target.fz_name;
-        rp_n = target.fz_n;
-        rp_seed = tseed;
-        rp_max_ticks = target.fz_max_ticks;
-        rp_tau_cadence = target.fz_tau_cadence;
-        rp_kind = r.Shrink.r_failure.Shrink.f_kind;
-        rp_trace_format = Shrink.Condensed;
-        rp_choices = r.Shrink.r_choices;
-      }
+  Option.map
+    (Shrink.to_repro ~n:target.fz_n ~seed:tseed ~max_ticks:target.fz_max_ticks
+       ~tau_cadence:target.fz_tau_cadence)
+    (Shrink.shrink ~refine
+       {
+         Shrink.label = target.fz_name;
+         build = (fun () -> target.fz_build ~seed:tseed);
+         choices = prefix;
+         max_ticks = target.fz_max_ticks;
+         tau_cadence = target.fz_tau_cadence;
+       })
 
 let fuzz_target ~refine ~master ~depth ~iterations ~should_stop target =
   (* The instance seed is fixed per target (derived from the campaign
@@ -148,89 +114,75 @@ let fuzz_target ~refine ~master ~depth ~iterations ~should_stop target =
     if Corpus.observe corpus ~iteration ~prefix edges > 0 then
       growth := { g_iteration = iteration; g_edges = Corpus.seen_edges corpus } :: !growth
   in
-  let record_violation ~iteration ~mode ~prefix kind message =
+  let record_violation ~iteration ~mode ~prefix (f : Monitor.failure) =
     let repro = shrink_violation ~refine target ~tseed ~prefix in
-    violations := { v_kind = kind; v_message = message; v_iteration = iteration; v_mode = mode; v_repro = repro } :: !violations
+    violations := { v_kind = f.Monitor.f_kind; v_message = f.Monitor.f_message; v_iteration = iteration; v_mode = mode; v_repro = repro } :: !violations
+  in
+  let executor_run adversary ~inst ~on_event =
+    match
+      Executor.run ~tau_cadence:target.fz_tau_cadence ~max_ticks:target.fz_max_ticks ~on_event
+        ~adversary inst
+    with
+    | report -> Directed.Finished report
+    | exception e -> Directed.Raised e
   in
   (* Baseline: one fair round-robin run.  It estimates k (the expected
      decision count PCT spreads its change points over) and seeds the
      corpus with the fair schedule's coverage. *)
-  let traced_executor_run adversary trace ~inst ~on_event =
-    Executor.run ~tau_cadence:target.fz_tau_cadence ~max_ticks:target.fz_max_ticks ~on_event
-      ~adversary:(Trace.recording trace ~base:adversary)
-      inst
-  in
   let k = ref 32 in
-  let baseline_trace = Trace.create () in
-  (match
-     observe_run ~refine target ~tseed
-       ~drive:(fun ~inst ~on_event ->
-         let report = traced_executor_run (Adversary.round_robin ()) baseline_trace ~inst ~on_event in
-         k := max 8 report.Report.ticks;
-         report)
-   with
-  | Clean, edges -> record_coverage ~iteration:(-1) ~prefix:(choices_of_trace baseline_trace) edges
-  | Livelocked, _ -> incr livelocks
-  | Violated { kind; message }, _ ->
-    record_violation ~iteration:(-1) ~mode:"baseline"
-      ~prefix:(choices_of_trace baseline_trace) kind message);
+  (match observe_run ~refine target ~tseed ~drive:(executor_run (Adversary.round_robin ())) with
+  | Monitor.Clean report, edges, trace ->
+    k := max 8 report.Report.ticks;
+    record_coverage ~iteration:(-1) ~prefix:(Trace.choices trace) edges
+  | Monitor.Livelocked report, _, _ ->
+    k := max 8 report.Report.ticks;
+    incr livelocks
+  | Monitor.Failed f, _, trace ->
+    record_violation ~iteration:(-1) ~mode:"baseline" ~prefix:(Trace.choices trace) f);
   let i = ref 0 in
   while !violations = [] && !i < iterations && not (should_stop ()) do
     let iteration = !i in
     incr i;
     incr executed;
     let mutation_round = iteration mod 4 = 3 && Corpus.size corpus > 0 in
-    if mutation_round then begin
-      let parent = Corpus.pick corpus rng in
-      let child =
-        Corpus.mutate ~rng ~n:target.fz_n ~allow_faults:target.fz_allow_faults
-          ~allow_crashes:target.fz_allow_crashes parent
-      in
-      let taken = ref [||] in
-      let outcome, edges =
-        observe_run ~refine target ~tseed ~drive:(fun ~inst ~on_event ->
-            let r =
-              Directed.run ~max_ticks:target.fz_max_ticks ~tau_cadence:target.fz_tau_cadence
-                ~on_event ~prefix:child inst
-            in
-            taken := r.Directed.taken;
-            match r.Directed.outcome with
-            | Directed.Finished report -> report
-            | Directed.Raised e -> raise e)
-      in
-      match outcome with
-      | Clean -> record_coverage ~iteration ~prefix:child edges
-      | Livelocked ->
-        incr livelocks;
-        record_coverage ~iteration ~prefix:child edges
-      | Violated { kind; message } ->
-        record_violation ~iteration ~mode:"mutation" ~prefix:(Array.to_list !taken) kind message
-    end
-    else begin
-      (* PCT round: sweep depths 1..depth, alternating the plain and the
-         crash-spending variants (crashes only where the target's
-         recovery path is meant to be exercised). *)
-      let d = 1 + (iteration / 2 mod depth) in
-      let crashing = iteration mod 2 = 1 && target.fz_allow_crashes in
-      let adversary =
-        if crashing then
-          Pct.with_crashes ~depth:d ~n:target.fz_n ~k:!k ~failures:1
-            ~recover_after:(max 4 (!k / 4)) ~rng ()
-        else Pct.adversary ~depth:d ~n:target.fz_n ~k:!k ~rng ()
-      in
-      let mode = adversary.Adversary.name in
-      let trace = Trace.create () in
-      let outcome, edges =
-        observe_run ~refine target ~tseed ~drive:(traced_executor_run adversary trace)
-      in
-      let prefix = choices_of_trace trace in
-      match outcome with
-      | Clean -> record_coverage ~iteration ~prefix edges
-      | Livelocked ->
-        incr livelocks;
-        record_coverage ~iteration ~prefix edges
-      | Violated { kind; message } -> record_violation ~iteration ~mode ~prefix kind message
-    end
+    (* A mutated prefix is its own corpus entry; a PCT run's entry is
+       the schedule it took. *)
+    let mode, drive, entry =
+      if mutation_round then begin
+        let parent = Corpus.pick corpus rng in
+        let child =
+          Corpus.mutate ~rng ~n:target.fz_n ~allow_faults:target.fz_allow_faults
+            ~allow_crashes:target.fz_allow_crashes parent
+        in
+        ( "mutation",
+          (fun ~inst ~on_event ->
+            (Directed.run ~max_ticks:target.fz_max_ticks ~tau_cadence:target.fz_tau_cadence
+               ~on_event ~prefix:child inst)
+              .Directed.outcome),
+          fun _ -> child )
+      end
+      else begin
+        (* PCT round: sweep depths 1..depth, alternating the plain and the
+           crash-spending variants (crashes only where the target's
+           recovery path is meant to be exercised). *)
+        let d = 1 + (iteration / 2 mod depth) in
+        let crashing = iteration mod 2 = 1 && target.fz_allow_crashes in
+        let adversary =
+          if crashing then
+            Pct.with_crashes ~depth:d ~n:target.fz_n ~k:!k ~failures:1
+              ~recover_after:(max 4 (!k / 4)) ~rng ()
+          else Pct.adversary ~depth:d ~n:target.fz_n ~k:!k ~rng ()
+        in
+        (adversary.Adversary.name, executor_run adversary, Trace.choices)
+      end
+    in
+    match observe_run ~refine target ~tseed ~drive with
+    | Monitor.Clean _, edges, trace -> record_coverage ~iteration ~prefix:(entry trace) edges
+    | Monitor.Livelocked _, edges, trace ->
+      incr livelocks;
+      record_coverage ~iteration ~prefix:(entry trace) edges
+    | Monitor.Failed f, _, trace ->
+      record_violation ~iteration ~mode ~prefix:(Trace.choices trace) f
   done;
   {
     r_target = target.fz_name;
@@ -291,46 +243,21 @@ let run ?(clock = Clock.none) ?(depth = 3) ?max_seconds ?progress ?obs ~refine ~
       (sum (fun r -> List.length r.r_violations)));
   summary
 
-(* --- JSON emission (hand-rolled, same dialect as the chaos campaign:
-   the toolchain has no JSON library and the driver forbids adding
-   one) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let repro_to_json (r : Shrink.repro) =
-  Printf.sprintf
-    "{\"algorithm\":\"%s\",\"n\":%d,\"seed\":\"%Ld\",\"kind\":\"%s\",\"tau_cadence\":%d,\"choices\":[%s]}"
-    (json_escape r.Shrink.rp_algorithm) r.Shrink.rp_n r.Shrink.rp_seed
-    (json_escape r.Shrink.rp_kind) r.Shrink.rp_tau_cadence
-    (String.concat ","
-       (List.map
-          (fun c -> "\"" ^ json_escape (Directed.choice_to_string c) ^ "\"")
-          r.Shrink.rp_choices))
+(* --- JSON emission (hand-rolled over [Json.escape], same dialect as
+   the chaos campaign: the toolchain has no JSON library) --- *)
 
 let violation_to_json v =
   Printf.sprintf "{\"kind\":\"%s\",\"iteration\":%d,\"mode\":\"%s\",\"shrunk\":%s,\"repro\":%s}"
-    (json_escape v.v_kind) v.v_iteration (json_escape v.v_mode)
+    (Json.escape v.v_kind) v.v_iteration (Json.escape v.v_mode)
     (if v.v_repro <> None then "true" else "false")
-    (match v.v_repro with None -> "null" | Some r -> repro_to_json r)
+    (match v.v_repro with None -> "null" | Some r -> Shrink.repro_to_json r)
 
 let growth_to_json g = Printf.sprintf "[%d,%d]" g.g_iteration g.g_edges
 
 let result_to_json r =
   Printf.sprintf
     "{\"target\":\"%s\",\"n\":%d,\"expect_violation\":%b,\"found\":%b,\"ok\":%b,\"iterations\":%d,\"livelocks\":%d,\"corpus_size\":%d,\"coverage_edges\":%d,\"coverage_growth\":[%s],\"violations\":[%s]}"
-    (json_escape r.r_target) r.r_n r.r_expect_violation
+    (Json.escape r.r_target) r.r_n r.r_expect_violation
     (r.r_violations <> [])
     (target_ok r) r.r_iterations r.r_livelocks r.r_corpus_size r.r_edges
     (String.concat "," (List.map growth_to_json r.r_growth))

@@ -16,12 +16,14 @@
       executor.
 
     Every run executes under the online safety monitor (executor
-    discipline plus the spec) and a fresh
-    {!Coverage} collector; schedules producing new conflict edges are
-    admitted to the corpus ({!Corpus.observe}).  The first violation per
-    target ends that target's campaign: the failing decision sequence is
-    ddmin-shrunk through {!Renaming_faults.Shrink} into a replayable
-    repro.
+    discipline plus the spec), a fresh {!Coverage} collector and a
+    {!Renaming_sched.Trace} recording its decisions from the event
+    stream, and is classified by {!Renaming_faults.Monitor.verdict};
+    schedules producing new conflict edges are admitted to the corpus
+    ({!Corpus.observe}).  The first violation per target ends that
+    target's campaign: the failing decision sequence
+    ({!Renaming_sched.Trace.choices}) is ddmin-shrunk through
+    {!Renaming_faults.Shrink} into a replayable repro.
 
     Determinism: given the same seed, targets and budgets (and no
     wall-clock budget), the whole campaign — iteration counts, coverage

@@ -181,20 +181,10 @@ let run_entry ?engine ?obs ~refine e =
   Mcheck.check ?engine ~bounds:e.e_bounds ?baseline:e.e_baseline ?obs ~refine (target e)
 
 let repro_of_case e (c : Mcheck.case) =
-  match c.Mcheck.v_shrunk with
-  | None -> None
-  | Some r ->
-    Some
-      {
-        Shrink.rp_algorithm = e.e_name;
-        rp_n = e.e_n;
-        rp_seed = e.e_seed;
-        rp_max_ticks = e.e_bounds.Mcheck.b_max_ticks;
-        rp_tau_cadence = 1;
-        rp_kind = c.Mcheck.v_kind;
-        rp_trace_format = Shrink.Condensed;
-        rp_choices = r.Shrink.r_choices;
-      }
+  Option.map
+    (Shrink.to_repro ~n:e.e_n ~seed:e.e_seed ~max_ticks:e.e_bounds.Mcheck.b_max_ticks
+       ~tau_cadence:1)
+    c.Mcheck.v_shrunk
 
 let builder ~name ~n =
   match List.find_opt (fun e -> String.equal e.e_name name && e.e_n = n) (roster ()) with

@@ -1,11 +1,11 @@
 module Executor = Renaming_sched.Executor
 module Directed = Renaming_sched.Directed
-module Report = Renaming_sched.Report
 module Op = Renaming_sched.Op
 module Monitor = Renaming_faults.Monitor
 module Shrink = Renaming_faults.Shrink
 module Obs = Renaming_obs.Obs
 module Metrics = Renaming_obs.Metrics
+module Json = Renaming_obs.Json
 
 type target = {
   t_name : string;
@@ -84,12 +84,17 @@ type acc = {
   a_livelocks : int ref;
   a_violations : int ref;
   a_cases : case list ref;
-  a_register : kind:string -> message:string -> Directed.result -> unit;
+  a_register : Monitor.failure -> Directed.result -> unit;
   a_on_schedule : (Directed.choice array -> unit) option;
 }
 
-let notify acc (run : Directed.result) =
-  match acc.a_on_schedule with None -> () | Some f -> f run.Directed.taken
+(* Report one monitored execution: the schedule hook, then its verdict. *)
+let judge acc verdict (run : Directed.result) =
+  (match acc.a_on_schedule with None -> () | Some f -> f run.Directed.taken);
+  match verdict with
+  | Monitor.Failed f -> acc.a_register f run
+  | Monitor.Livelocked _ -> incr acc.a_livelocks
+  | Monitor.Clean _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Legacy engine: CHESS-style DFS with sleep sets.  Kept verbatim as
@@ -100,7 +105,6 @@ let check_legacy ~refine ~bounds ~acc target =
   let schedules = acc.a_schedules in
   let points = acc.a_points in
   let slept = acc.a_pruned in
-  let livelocks = acc.a_livelocks in
   let capped = ref false in
   (* One stateless exploration step: execute [prefix] (plus the
      non-preemptive default tail), check it, then branch on every
@@ -116,20 +120,7 @@ let check_legacy ~refine ~bounds ~acc target =
       Directed.run ~max_ticks:bounds.b_max_ticks ~record_from:(List.length prefix)
         ~on_event:(Monitor.hook monitor) ~prefix inst
     in
-    notify acc run;
-    (match run.Directed.outcome with
-    | Directed.Raised (Monitor.Violation v) ->
-      acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run
-    | Directed.Raised e ->
-      acc.a_register
-        ~kind:("exception:" ^ Printexc.exn_slot_name e)
-        ~message:(Printexc.to_string e) run
-    | Directed.Finished report ->
-      if Report.is_livelock report then incr livelocks
-      else (
-        try Monitor.finalize monitor report
-        with Monitor.Violation v ->
-          acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run));
+    judge acc (Monitor.verdict monitor run.Directed.outcome) run;
     let cur_sleep = ref sleep in
     Array.iter
       (fun (pt : Directed.point) ->
@@ -398,11 +389,8 @@ let check_dpor ~refine ~bounds ~acc target =
           ?yield_rotate:bounds.b_yield_rotate ~on_event:(Monitor.hook monitor)
           ~prefix inst
       in
-      let livelocked =
-        match run.Directed.outcome with
-        | Directed.Finished report -> Report.is_livelock report
-        | Directed.Raised _ -> false
-      in
+      let verdict = Monitor.verdict monitor run.Directed.outcome in
+      let livelocked = match verdict with Monitor.Livelocked _ -> true | _ -> false in
       let depth0 = !depth in
       let ok =
         if run.Directed.dropped > 0 then false
@@ -426,20 +414,7 @@ let check_dpor ~refine ~bounds ~acc target =
       if not ok then incr acc.a_budget_skipped
       else begin
         incr acc.a_schedules;
-        notify acc run;
-        (match run.Directed.outcome with
-        | Directed.Raised (Monitor.Violation v) ->
-          acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run
-        | Directed.Raised e ->
-          acc.a_register
-            ~kind:("exception:" ^ Printexc.exn_slot_name e)
-            ~message:(Printexc.to_string e) run
-        | Directed.Finished report ->
-          if Report.is_livelock report then incr acc.a_livelocks
-          else (
-            try Monitor.finalize monitor report
-            with Monitor.Violation v ->
-              acc.a_register ~kind:v.Monitor.kind ~message:v.Monitor.message run));
+        judge acc verdict run;
         if not livelocked then begin
           acc.a_points := !(acc.a_points) + (!depth - depth0);
           (* Race detection on the completed execution, and witness
@@ -543,7 +518,7 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
   let livelocks = ref 0 in
   let violations = ref 0 in
   let cases = ref [] in
-  let register ~kind ~message (run : Directed.result) =
+  let register (f : Monitor.failure) (run : Directed.result) =
     incr violations;
     if List.length !cases < max_cases then begin
       let prefix = Array.to_list run.Directed.taken in
@@ -561,8 +536,8 @@ let check ?(engine = `Dpor) ?(bounds = default_bounds) ?(shrink = true) ?(max_ca
       in
       cases :=
         {
-          v_kind = kind;
-          v_message = message;
+          v_kind = f.Monitor.f_kind;
+          v_message = f.Monitor.f_message;
           v_prefix = prefix;
           v_condensed = Directed.condensed ~points:run.Directed.points run.Directed.taken;
           v_shrunk = shrunk;
@@ -648,41 +623,23 @@ let pp_stats fmt s =
     s.s_cases;
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let choices_json cs =
-  String.concat ","
-    (List.map (fun c -> "\"" ^ json_escape (Directed.choice_to_string c) ^ "\"") cs)
-
 let case_to_json c =
   Printf.sprintf "{\"kind\":\"%s\",\"prefix_length\":%d,\"condensed\":\"%s\",\"shrunk\":%s}"
-    (json_escape c.v_kind)
+    (Json.escape c.v_kind)
     (List.length c.v_prefix)
-    (json_escape c.v_condensed)
+    (Json.escape c.v_condensed)
     (match c.v_shrunk with
     | None -> "null"
     | Some r ->
       Printf.sprintf "{\"length\":%d,\"replays\":%d,\"choices\":[%s]}"
         (List.length r.Shrink.r_choices)
         r.Shrink.r_replays
-        (choices_json r.Shrink.r_choices))
+        (Shrink.choices_to_json r.Shrink.r_choices))
 
 let stats_to_json s =
   Printf.sprintf
     "{\"target\":\"%s\",\"engine\":\"%s\",\"schedules\":%d,\"points\":%d,\"races\":%d,\"wakeups\":%d,\"pruned\":%d,\"budget_skipped\":%d,\"livelocks\":%d,\"violations\":%d,\"capped\":%b,\"baseline\":%s,\"reduction\":%s,\"cases\":[%s]}"
-    (json_escape s.s_target) (json_escape s.s_engine) s.s_schedules s.s_points s.s_races
+    (Json.escape s.s_target) (Json.escape s.s_engine) s.s_schedules s.s_points s.s_races
     s.s_wakeups s.s_pruned s.s_budget_skipped s.s_livelocks s.s_violations s.s_capped
     (match s.s_baseline with None -> "null" | Some b -> string_of_int b)
     (match reduction s with None -> "null" | Some r -> Printf.sprintf "%.4f" r)

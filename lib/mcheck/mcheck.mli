@@ -82,7 +82,7 @@ val default_bounds : bounds
       b_yield_rotate = Some 32 }] *)
 
 type case = {
-  v_kind : string;  (** {!Renaming_faults.Monitor.violation} kind (or ["livelock"] / ["exception:..."]) *)
+  v_kind : string;  (** {!Renaming_faults.Monitor.verdict} failure kind: a violation kind or ["exception:..."] *)
   v_message : string;
   v_prefix : Renaming_sched.Directed.choice list;
       (** the decisions of the failing execution, up to the failure *)

@@ -15,6 +15,13 @@ val to_string : t -> string
 (** Compact rendering.  Emission is deterministic: object fields keep
     their construction order.  NaN and infinities render as [null]. *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s], without the quotes:
+    backslash escapes for the double quote, the backslash, newline,
+    carriage return and tab, [\u00XX] for the other bytes below 0x20,
+    every other byte verbatim.  Shared by every hand-rolled JSON writer
+    so they all escape alike. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries the offset and
     reason of the first syntax error. *)

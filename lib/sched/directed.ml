@@ -45,7 +45,40 @@ type result = {
   outcome : outcome;
 }
 
-let expected_of_choice : choice -> Trace.expected = function
+type expected =
+  [ `Schedule of int | `Fault of int | `Crash of int | `Recover of int | `Exhausted ]
+
+type divergence = {
+  at : int;
+  expected : expected;
+  time : int;
+  runnable : int list;
+  crashed : int list;
+}
+
+exception Divergence of divergence
+
+let pp_expected fmt = function
+  | `Schedule pid -> Format.fprintf fmt "schedule p%d" pid
+  | `Fault pid -> Format.fprintf fmt "fault p%d" pid
+  | `Crash pid -> Format.fprintf fmt "crash p%d" pid
+  | `Recover pid -> Format.fprintf fmt "recover p%d" pid
+  | `Exhausted -> Format.fprintf fmt "prefix exhausted"
+
+let pp_divergence fmt d =
+  let pp_pids fmt pids =
+    Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int pids))
+  in
+  Format.fprintf fmt
+    "replay diverged at decision %d (t=%d): wanted %a but runnable=%a crashed=%a" d.at d.time
+    pp_expected d.expected pp_pids d.runnable pp_pids d.crashed
+
+let () =
+  Printexc.register_printer (function
+    | Divergence d -> Some (Format.asprintf "Directed.Divergence: %a" pp_divergence d)
+    | _ -> None)
+
+let expected_of_choice : choice -> expected = function
   | Step pid -> `Schedule pid
   | Fault pid -> `Fault pid
   | Crash pid -> `Crash pid
@@ -86,12 +119,12 @@ let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(recor
     done;
     Array.of_list !acc
   in
-  let diverge (view : Adversary.view) c =
+  let diverge (view : Adversary.view) expected =
     raise
-      (Trace.Divergence
+      (Divergence
          {
            at = !index;
-           expected = expected_of_choice c;
+           expected;
            time = view.time;
            runnable = Array.to_list (sorted_runnable view);
            crashed = Array.to_list (crashed_pids view);
@@ -132,13 +165,13 @@ let run ?obs ?(max_ticks = 100_000) ?(tau_cadence = 1) ?(strict = false) ?(recor
   let decide (view : Adversary.view) =
     let rec pick () =
       match !remaining with
-      | [] -> default view
+      | [] -> if strict then diverge view `Exhausted else default view
       | c :: rest ->
         if feasible view c then begin
           remaining := rest;
           c
         end
-        else if strict then diverge view c
+        else if strict then diverge view (expected_of_choice c)
         else begin
           remaining := rest;
           incr dropped;

@@ -40,12 +40,36 @@ type point = {
   taken : choice;  (** the decision actually applied here *)
 }
 
+(** What a strict run was about to do when the instance diverged from
+    its prefix.  [`Exhausted] means the prefix ran out while processes
+    were still runnable. *)
+type expected =
+  [ `Schedule of int | `Fault of int | `Crash of int | `Recover of int | `Exhausted ]
+
+type divergence = {
+  at : int;  (** decision index at which replay failed (= prefix choices consumed so far) *)
+  expected : expected;
+  time : int;  (** executor time at the failing decision *)
+  runnable : int list;  (** pids runnable at that point, ascending *)
+  crashed : int list;  (** pids crashed at that point, ascending *)
+}
+
+exception Divergence of divergence
+(** Raised inside a strict {!run} (and captured in its [outcome]) when a
+    prefix choice cannot be applied — the named pid is not runnable
+    (step/crash), not runnable with a faultable op (fault) or not
+    crashed (recover) — or the prefix is exhausted while processes still
+    run.  Structured so tools can act on it instead of parsing a
+    [Failure] string. *)
+
+val pp_divergence : Format.formatter -> divergence -> unit
+
 type outcome =
   | Finished of Report.t
   | Raised of exn
       (** an exception escaped the run — typically a monitor violation
-          raised from the [on_event] hook, or {!Trace.Divergence} in
-          strict mode *)
+          raised from the [on_event] hook, or {!Divergence} in strict
+          mode *)
 
 type result = {
   points : point array;  (** decision points with [index >= record_from] *)
@@ -70,11 +94,15 @@ val run :
     state ([Step]/[Crash]: runnable; [Fault]: runnable with a faultable
     pending op; [Recover]: crashed).
 
-    [strict] (default [false]): an infeasible choice raises
-    {!Trace.Divergence} (carrying the decision index, the expected
-    action and the runnable/crashed sets).  In permissive mode it is
-    skipped and counted in [dropped] — the mode shrinkers use, because
-    deleting events from a prefix legitimately invalidates later ones.
+    [strict] (default [false]): the run is an exact replay of [prefix].
+    An infeasible choice raises {!Divergence} (carrying the decision
+    index, the expected action and the runnable/crashed sets), and so
+    does a prefix that runs out while processes are still runnable
+    ([`Exhausted]): there is no default tail.  Replaying
+    {!Trace.choices} of a recorded run this way reproduces it exactly.
+    In permissive mode an infeasible choice is skipped and counted in
+    [dropped] — the mode shrinkers use, because deleting events from a
+    prefix legitimately invalidates later ones.
 
     [record_from] (default 0): skip materialising [points] below this
     index — exploration only expands alternatives past its own prefix,

@@ -1,114 +1,29 @@
 module Vec = Renaming_stats.Vec
 
-type event =
-  | Scheduled of { time : int; pid : int; op : Op.t }
-  | Crashed of { time : int; pid : int }
-  | Recovered of { time : int; pid : int }
+(* The decisions of a run, in order: every [Stepped], [Crashed] and
+   [Recovered] event ([Returned] is not a decision). *)
+type t = { events : Executor.event Vec.t }
 
-type expected =
-  [ `Schedule of int | `Fault of int | `Crash of int | `Recover of int | `Exhausted ]
+let create () = { events = Vec.create () }
 
-type divergence = {
-  at : int;
-  expected : expected;
-  time : int;
-  runnable : int list;
-  crashed : int list;
-}
-
-exception Divergence of divergence
-
-let pp_expected fmt = function
-  | `Schedule pid -> Format.fprintf fmt "schedule p%d" pid
-  | `Fault pid -> Format.fprintf fmt "fault p%d" pid
-  | `Crash pid -> Format.fprintf fmt "crash p%d" pid
-  | `Recover pid -> Format.fprintf fmt "recover p%d" pid
-  | `Exhausted -> Format.fprintf fmt "trace exhausted"
-
-let pp_divergence fmt d =
-  let pp_pids fmt pids =
-    Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int pids))
-  in
-  Format.fprintf fmt
-    "replay diverged at decision %d (t=%d): wanted %a but runnable=%a crashed=%a" d.at d.time
-    pp_expected d.expected pp_pids d.runnable pp_pids d.crashed
-
-let () =
-  Printexc.register_printer (function
-    | Divergence d -> Some (Format.asprintf "Trace.Divergence: %a" pp_divergence d)
-    | _ -> None)
-
-type t = { events : event Vec.t; mutable cursor : int }
-
-let create () = { events = Vec.create (); cursor = 0 }
+let record t (e : Executor.event) =
+  match e with
+  | Stepped _ | Crashed _ | Recovered _ -> Vec.add_last t.events e
+  | Returned _ -> ()
 
 let length t = Vec.length t.events
 
-let events t = Array.to_list (Vec.to_array t.events)
+let choice_of_event : Executor.event -> Directed.choice = function
+  | Stepped { pid; response = Op.Faulted; _ } -> Fault pid
+  | Stepped { pid; _ } -> Step pid
+  | Crashed { pid; _ } -> Crash pid
+  | Recovered { pid; _ } -> Recover pid
+  | Returned _ -> assert false (* [record] drops returns *)
 
-let recording t ~base =
-  {
-    Adversary.name = base.Adversary.name ^ "+recorded";
-    decide =
-      (fun view ->
-        let decision = base.Adversary.decide view in
-        (match decision with
-        | Adversary.Schedule pid ->
-          Vec.add_last t.events
-            (Scheduled { time = view.Adversary.time; pid; op = view.Adversary.pending_op pid })
-        | Adversary.Crash pid -> Vec.add_last t.events (Crashed { time = view.Adversary.time; pid })
-        | Adversary.Recover pid ->
-          Vec.add_last t.events (Recovered { time = view.Adversary.time; pid }));
-        decision);
-  }
+let choices t = List.init (Vec.length t.events) (fun i -> choice_of_event (Vec.get t.events i))
 
-(* The replayer does not know the instance size, so the crashed set in a
-   divergence is reconstructed over the pids the trace mentions. *)
-let max_pid t =
-  let m = ref (-1) in
-  Vec.iter
-    (fun e ->
-      let pid =
-        match e with Scheduled { pid; _ } | Crashed { pid; _ } | Recovered { pid; _ } -> pid
-      in
-      if pid > !m then m := pid)
-    t.events;
-  !m
-
-let diverge t view expected =
-  let runnable =
-    List.sort compare
-      (List.init view.Adversary.runnable_count (fun i -> view.Adversary.runnable_nth i))
-  in
-  let crashed =
-    List.filter view.Adversary.is_crashed (List.init (max_pid t + 1) (fun pid -> pid))
-  in
-  raise
-    (Divergence { at = t.cursor; expected; time = view.Adversary.time; runnable; crashed })
-
-let replaying t =
-  t.cursor <- 0;
-  {
-    Adversary.name = "replay";
-    decide =
-      (fun view ->
-        if t.cursor >= Vec.length t.events then diverge t view `Exhausted;
-        let event = Vec.get t.events t.cursor in
-        let pid =
-          match event with Scheduled { pid; _ } | Crashed { pid; _ } | Recovered { pid; _ } -> pid
-        in
-        (match event with
-        | Recovered _ ->
-          if not (view.Adversary.is_crashed pid) then diverge t view (`Recover pid)
-        | Scheduled _ ->
-          if not (view.Adversary.is_runnable pid) then diverge t view (`Schedule pid)
-        | Crashed _ -> if not (view.Adversary.is_runnable pid) then diverge t view (`Crash pid));
-        t.cursor <- t.cursor + 1;
-        match event with
-        | Scheduled _ -> Adversary.Schedule pid
-        | Crashed _ -> Adversary.Crash pid
-        | Recovered _ -> Adversary.Recover pid);
-  }
+let pid_of : Executor.event -> int = function
+  | Stepped { pid; _ } | Crashed { pid; _ } | Recovered { pid; _ } | Returned { pid; _ } -> pid
 
 let op_kind op =
   match (op : Op.t) with
@@ -129,9 +44,10 @@ let census t =
   let bump key = Hashtbl.replace counts key (1 + Option.value (Hashtbl.find_opt counts key) ~default:0) in
   Vec.iter
     (function
-      | Scheduled { op; _ } -> bump (op_kind op)
+      | Executor.Stepped { op; _ } -> bump (op_kind op)
       | Crashed _ -> bump "crash"
-      | Recovered _ -> bump "recover")
+      | Recovered _ -> bump "recover"
+      | Returned _ -> ())
     t.events;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -159,7 +75,7 @@ let pp_timeline ?(max_pids = 16) ?(max_events = 72) fmt t =
   let pids = Hashtbl.create 16 in
   Array.iter
     (fun e ->
-      let pid = match e with Scheduled { pid; _ } | Crashed { pid; _ } | Recovered { pid; _ } -> pid in
+      let pid = pid_of e in
       if not (Hashtbl.mem pids pid) then Hashtbl.add pids pid ())
     shown;
   let lanes = List.sort compare (Hashtbl.fold (fun pid () acc -> pid :: acc) pids []) in
@@ -171,11 +87,13 @@ let pp_timeline ?(max_pids = 16) ?(max_events = 72) fmt t =
       Array.iter
         (fun e ->
           let c =
-            match e with
-            | Scheduled { pid; op; _ } when pid = lane -> glyph_of_op op
-            | Crashed { pid; _ } when pid = lane -> 'X'
-            | Recovered { pid; _ } when pid = lane -> 'R'
-            | Scheduled _ | Crashed _ | Recovered _ -> '.'
+            if pid_of e <> lane then '.'
+            else
+              match e with
+              | Executor.Stepped { op; _ } -> glyph_of_op op
+              | Crashed _ -> 'X'
+              | Recovered _ -> 'R'
+              | Returned _ -> '.'
           in
           Format.pp_print_char fmt c)
         shown;

@@ -1,62 +1,36 @@
-(** Schedule traces: record the adversary's decisions during a run and
-    replay them later as a deterministic adversary.
+(** Schedule traces: record a run's decisions from the executor's event
+    stream and hand them back as a replayable {!Directed.choice} prefix.
 
-    Because algorithm randomness is already pinned by the seed, a
-    recorded trace makes the *entire* execution reproducible — the
-    missing nondeterminism (who stepped when, who crashed) is captured
-    here.  Replaying a trace against a fresh instance with the same
-    seeds must yield an identical report; the test suite checks this
-    for every adversary, which pins down the executor's determinism.
+    Because algorithm randomness is already pinned by the seed, the
+    decisions — who stepped, who had a step fault, who crashed, who
+    recovered — are the {e entire} remaining nondeterminism of a run.
+    Replaying {!choices} with [Directed.run ~strict:true] against a
+    fresh instance with the same seeds yields an identical report; the
+    test suite checks this for the chaos roster under every adversary,
+    crash recovery and injected faults.
 
     Traces also feed the analysis helpers: per-process step timelines
     and operation census. *)
-
-type event =
-  | Scheduled of { time : int; pid : int; op : Op.t }
-  | Crashed of { time : int; pid : int }
-  | Recovered of { time : int; pid : int }
-
-(** What a replay (or a directed run, {!Directed}) was about to do when
-    the instance diverged from the recording.  [`Exhausted] means the
-    trace ran out while processes were still runnable. *)
-type expected =
-  [ `Schedule of int | `Fault of int | `Crash of int | `Recover of int | `Exhausted ]
-
-type divergence = {
-  at : int;  (** decision index at which replay failed (= events consumed so far) *)
-  expected : expected;
-  time : int;  (** executor time at the failing decision *)
-  runnable : int list;  (** pids runnable at that point, ascending *)
-  crashed : int list;  (** pids crashed at that point, ascending (best effort: pids the replayer knows about) *)
-}
-
-exception Divergence of divergence
-(** Raised by {!replaying} (and by {!Directed.run} in strict mode) when
-    a decision cannot be applied: the named pid is not runnable (for
-    schedule/fault/crash), not crashed (for recover), or the trace is
-    exhausted while processes still run.  Structured so shrinkers and
-    users can act on it instead of parsing a [Failure] string. *)
-
-val pp_divergence : Format.formatter -> divergence -> unit
 
 type t
 
 val create : unit -> t
 
+val record : t -> Executor.event -> unit
+(** The [on_event] hook: appends every decision event ([Stepped],
+    [Crashed], [Recovered]); [Returned] is not a decision and is
+    dropped.  Compose it {e before} a monitor hook that may raise, so
+    the decision a violation was raised on is part of the trace.  A step
+    whose operation raises inside the executor emits no event and so is
+    not recorded. *)
+
 val length : t -> int
+(** Decisions recorded. *)
 
-val events : t -> event list
-(** In execution order. *)
-
-val recording : t -> base:Adversary.t -> Adversary.t
-(** Wraps [base]; every decision it makes is appended to the trace
-    (with the operation the scheduled process was about to perform). *)
-
-val replaying : t -> Adversary.t
-(** An adversary that replays the recorded decisions verbatim.  Raises
-    {!Divergence} if the instance diverges from the recording (a
-    decision names a process that is not in the required state) or the
-    trace is exhausted while processes still run. *)
+val choices : t -> Directed.choice list
+(** The recorded decisions as a replayable prefix, in order: a step
+    that responded {!Op.Faulted} becomes [Fault], any other step
+    [Step], a crash [Crash], a recovery [Recover]. *)
 
 val census : t -> (string * int) list
 (** Operation counts by kind (["tas-name", 812; ...]), sorted by kind

@@ -574,28 +574,36 @@ let test_shrink_none_when_input_passes () =
   check Alcotest.bool "no failure, no result" true (Shrink.shrink ~refine input = None)
 
 let test_repro_roundtrip () =
-  let repro =
-    {
-      Shrink.rp_trace_format = Shrink.Choices;
-      rp_algorithm = "uniform-probing-n3";
-      rp_n = 3;
-      rp_seed = 0x5EED_2015L;
-      rp_max_ticks = 50_000;
-      rp_tau_cadence = 2;
-      rp_kind = "refine:claim-unbacked";
-      rp_choices = [ Directed.Step 0; Directed.Fault 2; Directed.Crash 1; Directed.Recover 1 ];
-    }
+  (* A legacy one-choice-per-line body, as artifacts from outside the
+     program may still carry it, parses to the listed decisions; the
+     writer's condensed form of it parses back to identical fields. *)
+  let text =
+    "algorithm: uniform-probing-n3\nn: 3\nseed: 1592598549\nmax-ticks: 50000\ntau-cadence: 2\n\
+     kind: refine:claim-unbacked\ntrace-format: choices\ntrace:\nstep 0\nfault 2\ncrash 1\n\
+     recover 1\n"
   in
-  match Shrink.repro_of_string (Shrink.repro_to_string repro) with
-  | Ok r ->
-    check Alcotest.string "algorithm" repro.Shrink.rp_algorithm r.Shrink.rp_algorithm;
-    check Alcotest.int "n" repro.Shrink.rp_n r.Shrink.rp_n;
-    check Alcotest.bool "seed" true (Int64.equal repro.Shrink.rp_seed r.Shrink.rp_seed);
-    check Alcotest.int "max-ticks" repro.Shrink.rp_max_ticks r.Shrink.rp_max_ticks;
-    check Alcotest.int "tau-cadence" repro.Shrink.rp_tau_cadence r.Shrink.rp_tau_cadence;
-    check Alcotest.string "kind" repro.Shrink.rp_kind r.Shrink.rp_kind;
-    check Alcotest.bool "choices" true (repro.Shrink.rp_choices = r.Shrink.rp_choices)
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
+  match Shrink.repro_of_string text with
+  | Error e -> Alcotest.failf "choices body rejected: %s" e
+  | Ok repro -> (
+    check Alcotest.string "algorithm" "uniform-probing-n3" repro.Shrink.rp_algorithm;
+    check Alcotest.int "n" 3 repro.Shrink.rp_n;
+    check Alcotest.bool "seed" true (Int64.equal 0x5EED_2015L repro.Shrink.rp_seed);
+    check Alcotest.int "max-ticks" 50_000 repro.Shrink.rp_max_ticks;
+    check Alcotest.int "tau-cadence" 2 repro.Shrink.rp_tau_cadence;
+    check Alcotest.string "kind" "refine:claim-unbacked" repro.Shrink.rp_kind;
+    check Alcotest.bool "choices" true
+      (repro.Shrink.rp_choices
+      = [ Directed.Step 0; Directed.Fault 2; Directed.Crash 1; Directed.Recover 1 ]);
+    match Shrink.repro_of_string (Shrink.repro_to_string repro) with
+    | Ok r ->
+      check Alcotest.string "algorithm" repro.Shrink.rp_algorithm r.Shrink.rp_algorithm;
+      check Alcotest.int "n" repro.Shrink.rp_n r.Shrink.rp_n;
+      check Alcotest.bool "seed" true (Int64.equal repro.Shrink.rp_seed r.Shrink.rp_seed);
+      check Alcotest.int "max-ticks" repro.Shrink.rp_max_ticks r.Shrink.rp_max_ticks;
+      check Alcotest.int "tau-cadence" repro.Shrink.rp_tau_cadence r.Shrink.rp_tau_cadence;
+      check Alcotest.string "kind" repro.Shrink.rp_kind r.Shrink.rp_kind;
+      check Alcotest.bool "choices" true (repro.Shrink.rp_choices = r.Shrink.rp_choices)
+    | Error e -> Alcotest.failf "round-trip failed: %s" e)
 
 let test_repro_tau_cadence_header_optional () =
   (* Artifacts written before the tau-cadence header existed must still
@@ -622,8 +630,7 @@ let test_repro_condensed_roundtrip () =
      and must parse back to the identical decision list. *)
   let repro =
     {
-      Shrink.rp_trace_format = Shrink.Condensed;
-      rp_algorithm = "uniform-probing-n3";
+      Shrink.rp_algorithm = "uniform-probing-n3";
       rp_n = 3;
       rp_seed = 7L;
       rp_max_ticks = 50_000;
@@ -645,7 +652,6 @@ let test_repro_condensed_roundtrip () =
      mem (String.split_on_char '\n' text));
   match Shrink.repro_of_string text with
   | Ok r ->
-    check Alcotest.bool "format preserved" true (r.Shrink.rp_trace_format = Shrink.Condensed);
     check Alcotest.bool "choices identical" true (r.Shrink.rp_choices = repro.Shrink.rp_choices)
   | Error e -> Alcotest.failf "condensed round-trip failed: %s" e
 
@@ -690,13 +696,11 @@ let test_repro_preexisting_artifact_replays () =
   match Shrink.repro_of_string preexisting_artifact with
   | Error e -> Alcotest.failf "pre-existing artifact rejected: %s" e
   | Ok r ->
-    check Alcotest.bool "headerless artifact defaults to choices" true
-      (r.Shrink.rp_trace_format = Shrink.Choices);
+    check Alcotest.bool "headerless artifact reads a choices body" true
+      (r.Shrink.rp_choices = List.map (fun p -> Directed.Step p) [ 1; 1; 1; 1; 1; 2 ]);
     replay r;
-    (* Re-serialise condensed: same decisions, same replay. *)
-    (match Shrink.repro_of_string
-             (Shrink.repro_to_string { r with Shrink.rp_trace_format = Shrink.Condensed })
-     with
+    (* Re-serialise (always condensed): same decisions, same replay. *)
+    (match Shrink.repro_of_string (Shrink.repro_to_string r) with
     | Error e -> Alcotest.failf "condensed re-serialisation rejected: %s" e
     | Ok r' ->
       check Alcotest.bool "condensed body carries identical decisions" true

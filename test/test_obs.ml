@@ -48,6 +48,32 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ "{"; "[1,"; "truex"; "\"unterminated"; "{\"a\" 1}"; "[1] trailing"; "" ]
 
+(* Every hand-rolled JSON writer escapes through [Json.escape]: a string
+   holding every byte survives emission and parsing, and each byte
+   renders as the writers' former private escapers rendered it, except
+   the carriage return, which they wrote as [\u000d]. *)
+let test_json_escape_every_byte () =
+  let all = String.init 256 Char.chr in
+  (match Json.of_string (Json.to_string (Json.String all)) with
+  | Ok (Json.String s) -> check Alcotest.string "every byte round-trips" all s
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.failf "parse failed: %s" e);
+  let former c =
+    match c with
+    | '"' -> "\\\""
+    | '\\' -> "\\\\"
+    | '\n' -> "\\n"
+    | '\t' -> "\\t"
+    | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+    | c -> String.make 1 c
+  in
+  String.iter
+    (fun c ->
+      let want = if c = '\r' then "\\r" else former c in
+      check Alcotest.string (Printf.sprintf "byte 0x%02x" (Char.code c)) want
+        (Json.escape (String.make 1 c)))
+    all
+
 (* --- Hist: fixed buckets and merge laws --- *)
 
 let hist_of values =
@@ -191,6 +217,7 @@ let tests =
         Alcotest.test_case "emit/parse round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "non-finite floats render null" `Quick test_json_nonfinite_is_null;
         Alcotest.test_case "parser rejects garbage" `Quick test_json_rejects_garbage;
+        Alcotest.test_case "escape round-trips every byte" `Quick test_json_escape_every_byte;
       ] );
     ( "obs.hist",
       [
